@@ -45,16 +45,8 @@ def make_single_best_arm_rewards(T: int, K: int, best: int = 0) -> np.ndarray:
     return rewards
 
 
-def make_iid_rewards(T: int, K: int, seed: int) -> np.ndarray:
+def make_iid_rewards(T: int, K: int, seed: int | np.random.SeedSequence) -> np.ndarray:
     return np.random.default_rng(seed).random((T, K))
-
-
-def load_reward_matrix_csv(path) -> np.ndarray:
-    return validate_reward_matrix(np.loadtxt(path, delimiter=",", ndmin=2))
-
-
-def save_reward_matrix_csv(rewards: np.ndarray, path) -> None:
-    np.savetxt(path, validate_reward_matrix(rewards), delimiter=",")
 
 
 # ---------------------------------------------------------------------------
@@ -70,22 +62,6 @@ def choice_prob_shannon(G: np.ndarray, eta: float) -> np.ndarray:
     z = z - z.max()
     w = np.exp(z)
     return w / w.sum()
-
-
-def _tsallis_terms(nu: float, shifted: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-arm values c (nu - shifted_i)^(1/(alpha-1)) and their nu-derivatives.
-
-    ``shifted`` is G - max(G) (all <= 0), so lam - G_i = nu - shifted_i is
-    computed without cancellation even when G is large.  The prefactor
-    c = ((1-alpha)/alpha)^(1/(alpha-1)) overflows for alpha near 1, so the
-    terms are assembled in log space.
-    """
-    e = 1.0 / (alpha - 1.0)
-    log_c = e * math.log((1.0 - alpha) / alpha)
-    d = nu - shifted
-    with np.errstate(over="ignore"):
-        terms = np.exp(log_c + e * np.log(d))
-    return terms, e / d * terms
 
 
 def _tsallis_log_sum(nu: float, shifted: np.ndarray, alpha: float) -> tuple[float, float]:
@@ -145,6 +121,24 @@ def _solve_tsallis_nu(shifted: np.ndarray, alpha: float, nu0: float | None = Non
     return float(nu)
 
 
+def _tsallis_probabilities(
+    shifted: np.ndarray, alpha: float, nu0: float | None = None
+) -> tuple[np.ndarray, float]:
+    """Tsallis choice probabilities at unit learning rate and the solved nu.
+
+    ``shifted`` is G - max(G) (all <= 0), so lam - G_i = nu - shifted_i is
+    computed without cancellation even when G is large.  The terms
+    c (nu - shifted_i)^(1/(alpha-1)) are assembled in log space because the
+    prefactor c = ((1-alpha)/alpha)^(1/(alpha-1)) overflows for alpha near 1.
+    """
+    nu = _solve_tsallis_nu(shifted, alpha, nu0)
+    e = 1.0 / (alpha - 1.0)
+    log_c = e * math.log((1.0 - alpha) / alpha)
+    with np.errstate(over="ignore"):
+        p = np.exp(log_c + e * np.log(nu - shifted))
+    return p / p.sum(), nu
+
+
 def solve_tsallis_lambda(G: np.ndarray, alpha: float, x0: float | None = None) -> float:
     """The unique lam > max(G) normalizing the Tsallis choice probabilities
     to residual <= 1e-12.  ``x0`` warm-starts from a previous solve."""
@@ -169,9 +163,7 @@ def choice_prob_tsallis(G: np.ndarray, eta: float, alpha: float, x0: float | Non
     G = np.asarray(G, dtype=float) / eta
     shifted = G - G.max()
     nu0 = None if x0 is None else x0 - float(G.max())
-    nu = _solve_tsallis_nu(shifted, alpha, nu0)
-    p, _ = _tsallis_terms(nu, shifted, alpha)
-    return p / p.sum()
+    return _tsallis_probabilities(shifted, alpha, nu0)[0]
 
 
 def floor_probabilities(p: np.ndarray, rho: float) -> np.ndarray:
@@ -293,7 +285,9 @@ class GbpaState:
     arms: np.ndarray
 
 
-def run_gbpa(rewards: np.ndarray, potential: PotentialSpec, seed: int) -> tuple[float, GbpaState]:
+def run_gbpa(
+    rewards: np.ndarray, potential: PotentialSpec, seed: int | np.random.Generator
+) -> tuple[float, GbpaState]:
     """Play the full reward matrix and report regret against the best fixed arm.
 
     Regret is max column sum minus realized reward; with an oblivious
@@ -315,10 +309,7 @@ def run_gbpa(rewards: np.ndarray, potential: PotentialSpec, seed: int) -> tuple[
             p = choice_prob_shannon(g_hat, potential.eta)
         elif kind == TSALLIS:
             shifted = g_hat / potential.eta
-            shifted = shifted - shifted.max()
-            nu = _solve_tsallis_nu(shifted, potential.alpha, nu)
-            p, _ = _tsallis_terms(nu, shifted, potential.alpha)
-            p = p / p.sum()
+            p, nu = _tsallis_probabilities(shifted - shifted.max(), potential.alpha, nu)
         else:
             p = choice_prob_ftpl_mc(g_hat, potential.eta, potential.spec, potential.mc_samples, rho, rng)
         u = rng.random()

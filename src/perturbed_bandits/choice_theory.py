@@ -11,10 +11,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from . import distributions as dist
-from .adversarial import _argmax_counts, choice_prob_shannon, choice_prob_tsallis
-
-SHANNON = "shannon"
-TSALLIS = "tsallis"
+from .adversarial import SHANNON, TSALLIS, _argmax_counts, choice_prob_shannon, choice_prob_tsallis
 
 
 # ---------------------------------------------------------------------------

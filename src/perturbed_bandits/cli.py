@@ -66,9 +66,7 @@ def _run_simulation(args: argparse.Namespace, mode: str) -> int:
 
 
 def _run_grid_search(args: argparse.Namespace) -> int:
-    config = harness.load_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    config = _resolve_config(args, "grid-search")
     args.out.mkdir(parents=True, exist_ok=True)
     search = harness.grid_search(config, threads=args.threads)
     harness.emit_csv(search.all_results, args.out / "grid_results.csv")

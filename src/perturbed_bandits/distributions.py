@@ -154,15 +154,6 @@ def sample_array(spec: PerturbationSpec, rng: np.random.Generator, shape) -> np.
     raise AssertionError(kind)
 
 
-def sample_vector(spec: PerturbationSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    return sample_array(spec, rng, n)
-
-
-def sample(spec: PerturbationSpec, rng: np.random.Generator) -> float:
-    """One i.i.d. draw from the distribution."""
-    return float(sample_array(spec, rng, ()))
-
-
 # ---------------------------------------------------------------------------
 # CDF / PDF / quantile / survival
 # ---------------------------------------------------------------------------
@@ -439,6 +430,3 @@ class RewardModel:
         # Gaussian mixture: fair coin between N(mu-1, 1) and N(mu+1, 1).
         signs = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
         return means + signs + rng.standard_normal(shape)
-
-    def sample(self, mean: float, rng: np.random.Generator) -> float:
-        return float(self.sample_table(np.array([mean]), 1, rng)[0, 0])

@@ -1,16 +1,15 @@
-"""Experiment harness: JSON config in, seeded parallel episodes, aggregated
-average-regret tables out as CSV and SVG.
+"""Experiment harness: JSON config in, seeded episodes run in order,
+aggregated average-regret tables out as CSV and SVG.
 
 Determinism contract: every random stream is derived from
 SeedSequence([master_seed, episode_index]), never from execution order, so
-results are identical across reruns and thread counts.  Within an episode all
-compared policies see the same instance means and the same reward table.
+results are identical across reruns.  Within an episode all compared
+policies see the same instance means and the same reward table.
 """
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
@@ -265,7 +264,7 @@ def _stochastic_episode(config: ExperimentConfig, policies, checkpoints, episode
             reward_rng=np.random.default_rng(children[1]),
             policy_rng=np.random.default_rng(children[2 + i]),
         )
-        out[i] = trace.cumulative[idx] / np.asarray(checkpoints, dtype=float)
+        out[i] = trace.cumulative[idx]
     return out
 
 
@@ -276,40 +275,34 @@ def _adversarial_episode(config: ExperimentConfig, potentials, checkpoints, epis
     elif config.adversary == "constant":
         rewards = adv.make_constant_rewards(config.T, config.K)
     elif config.adversary == "iid":
-        rewards = np.random.default_rng(children[1]).random((config.T, config.K))
+        rewards = adv.make_iid_rewards(config.T, config.K, children[1])
     else:
         raise ValueError(f"unknown adversary: {config.adversary!r}")
     out = np.empty((len(potentials), len(checkpoints)))
     for i, (potential, _) in enumerate(potentials):
         _, state = run_gbpa(rewards, potential, np.random.default_rng(children[2 + i]))
-        out[i] = regret_at_checkpoints(rewards, state.arms, checkpoints) / np.asarray(
-            checkpoints, dtype=float
-        )
+        out[i] = regret_at_checkpoints(rewards, state.arms, checkpoints)
     return out
 
 
-def _run_episodes(worker, episodes: int, threads: int) -> list[np.ndarray]:
-    if threads <= 1:
-        return [worker(e) for e in range(episodes)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # map preserves episode order, so aggregation is a deterministic
-        # ordered reduction regardless of completion order.
-        return list(pool.map(worker, range(episodes)))
-
-
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> AggregateResult:
-    """Run all grid points over all episodes and aggregate average regret."""
+    """Run all grid points over all episodes and aggregate average regret.
+
+    Episodes run in order on the calling thread.  ``threads`` is accepted for
+    compatibility and has no effect: episode threads only contended for the
+    interpreter lock and measured slower than one thread.
+    """
     checkpoints = config.effective_checkpoints()
     if config.mode == "stochastic":
         grid = [pt for entry in config.policies for pt in expand_policy_entry(entry)]
-        worker = lambda e: _stochastic_episode(config, grid, checkpoints, e)
+        episode = _stochastic_episode
     elif config.mode == "adversarial":
         grid = [pt for entry in config.potentials for pt in expand_potential_entry(entry, config.K, config.T)]
-        worker = lambda e: _adversarial_episode(config, grid, checkpoints, e)
+        episode = _adversarial_episode
     else:
         raise ValueError(f"run_experiment does not handle mode {config.mode!r}")
-    per_episode = _run_episodes(worker, config.episodes, threads)
-    avg = np.stack(per_episode, axis=2)
+    per_episode = [episode(config, grid, checkpoints, e) for e in range(config.episodes)]
+    avg = np.stack(per_episode, axis=2) / np.asarray(checkpoints, dtype=float)[:, None]
     labels = [(cfg.label(), param) for cfg, param in grid]
     return _aggregate(labels, avg, checkpoints, config.episodes, config.seed)
 
@@ -340,14 +333,10 @@ def grid_search(config: ExperimentConfig, threads: int = 1) -> GridSearchResult:
     Other parameters within one combined stderr of the winner are reported."""
     result = run_experiment(config, threads)
     finals: dict[str, list[ResultRow]] = {}
-    order: list[str] = []
     for row in result.final_rows():
-        if row.policy not in finals:
-            order.append(row.policy)
         finals.setdefault(row.policy, []).append(row)
     best = []
-    for policy in order:
-        rows = finals[policy]
+    for policy, rows in finals.items():
         winner = min(rows, key=lambda r: r.mean_avg_regret)
         ties = tuple(
             r.param

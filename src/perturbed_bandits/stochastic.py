@@ -5,7 +5,7 @@ RCB, algorithm)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,15 +86,6 @@ class PolicyConfig:
             return self.kind
         return f"{self.kind}-{self.spec.kind}"
 
-    def param_label(self) -> str:
-        if self.kind == FTPL_UNBOUNDED:
-            if self.spec.kind in (dist.GAUSSIAN, dist.DOUBLE_EXPONENTIAL):
-                return f"sigma={self.spec.sigma:g}"
-            return self.spec.label()
-        if self.kind == FTPL_BOUNDED:
-            return f"eps={self.epsilon:g}"
-        return ""
-
 
 @dataclass(frozen=True)
 class RegretTrace:
@@ -125,21 +116,32 @@ def _argmax_random_ties(values: np.ndarray, rng: np.random.Generator) -> int:
     return best
 
 
+def _index(kind: str, state: LearnerState, width_sq: float, z: np.ndarray | float | None) -> np.ndarray:
+    """The perturbed index mean_i + scale_i * Z_i of every policy.
+
+    UCB1 is the Z = 1 case with scale sqrt(width_sq / T_i) and unpulled arms
+    at +inf; RCB uses the same widened scale with bounded Z; FTPL and
+    Thompson sampling use scale 1 / sqrt(1 v T_i) and ignore ``width_sq``.
+    """
+    pulls = np.maximum(state.counts, 1)
+    if kind == UCB1:
+        return np.where(state.counts == 0, np.inf, state.means_hat + np.sqrt(width_sq / pulls))
+    if kind == FTPL_BOUNDED:
+        return state.means_hat + np.sqrt(width_sq / pulls) * z
+    return state.means_hat + z / np.sqrt(pulls)
+
+
 def select_ucb1(state: LearnerState, horizon: int) -> int:
     """Arm with the largest upper confidence bound mean + sqrt(2 log T / T_i);
     unpulled arms come first (lowest index among them)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    width = np.sqrt(2.0 * math.log(horizon) / np.maximum(state.counts, 1))
-    index = np.where(state.counts == 0, np.inf, state.means_hat + width)
-    return int(np.argmax(index))
+    return int(np.argmax(_index(UCB1, state, 2.0 * math.log(horizon), None)))
 
 
 def select_thompson_gaussian(state: LearnerState, rng: np.random.Generator) -> int:
     """Sample theta_i ~ N(mean_i, 1 / (1 v T_i)) per arm and play the argmax."""
-    z = dist.sample_vector(dist.gaussian(1.0), rng, state.num_arms)
-    theta = state.means_hat + z / np.sqrt(np.maximum(state.counts, 1))
-    return _argmax_random_ties(theta, rng)
+    return select_ftpl_unbounded(state, dist.gaussian(1.0), rng)
 
 
 def select_ftpl_unbounded(state: LearnerState, spec: PerturbationSpec, rng: np.random.Generator) -> int:
@@ -150,9 +152,8 @@ def select_ftpl_unbounded(state: LearnerState, spec: PerturbationSpec, rng: np.r
     """
     if spec.bounded_support:
         raise ValueError("bounded perturbations need the widened rcb scaling; see select_ftpl_bounded")
-    z = dist.sample_vector(spec, rng, state.num_arms)
-    theta = state.means_hat + z / np.sqrt(np.maximum(state.counts, 1))
-    return _argmax_random_ties(theta, rng)
+    z = dist.sample_array(spec, rng, state.num_arms)
+    return _argmax_random_ties(_index(FTPL_UNBOUNDED, state, 0.0, z), rng)
 
 
 def select_ftpl_bounded(
@@ -167,9 +168,8 @@ def select_ftpl_bounded(
         raise ValueError("select_ftpl_bounded requires a bounded perturbation")
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
-    z = dist.sample_vector(spec, rng, state.num_arms)
-    width = np.sqrt((2.0 + epsilon) * math.log(horizon) / np.maximum(state.counts, 1))
-    theta = state.means_hat + width * z
+    z = dist.sample_array(spec, rng, state.num_arms)
+    theta = _index(FTPL_BOUNDED, state, (2.0 + epsilon) * math.log(horizon), z)
     return _argmax_random_ties(theta, rng)
 
 
@@ -199,10 +199,10 @@ def theta_support_intervals(
     if (horizon is None) != (epsilon is None):
         raise ValueError("pass horizon and epsilon together, or neither")
     if horizon is None:
-        scale = 1.0 / np.sqrt(np.maximum(state.counts, 1))
+        kind, width_sq = FTPL_UNBOUNDED, 0.0
     else:
-        scale = np.sqrt((2.0 + epsilon) * math.log(horizon) / np.maximum(state.counts, 1))
-    return state.means_hat - scale, state.means_hat + scale
+        kind, width_sq = FTPL_BOUNDED, (2.0 + epsilon) * math.log(horizon)
+    return _index(kind, state, width_sq, -1.0), _index(kind, state, width_sq, 1.0)
 
 
 def make_lower_bound_instance(K: int, T: int, q: float) -> BanditInstance:
@@ -269,37 +269,25 @@ def run_episode(
     gaps = instance.gaps()
     rewards = instance.reward_model.sample_table(instance.means, T, reward_rng)
 
-    counts = np.zeros(K, dtype=np.int64)
-    means_hat = np.zeros(K)
+    state = LearnerState.fresh(K)
     cumulative = np.empty(T)
     arms = np.empty(T, dtype=np.int64)
 
     kind = policy.kind
     log_t = math.log(T) if T > 1 else 0.0
-    ucb_width_sq = 2.0 * log_t
-    rcb_width_sq = (2.0 + policy.epsilon) * log_t
+    width_sq = (2.0 + policy.epsilon) * log_t if kind == FTPL_BOUNDED else 2.0 * log_t
     if kind == THOMPSON:
         sampler = _BlockSampler(dist.gaussian(1.0), policy_rng, K)
     elif kind in (FTPL_UNBOUNDED, FTPL_BOUNDED):
         sampler = _BlockSampler(policy.spec, policy_rng, K)
-    else:
-        sampler = None
 
     for t in range(T):
         if kind == UCB1:
-            index = np.where(counts == 0, np.inf, means_hat + np.sqrt(ucb_width_sq / np.maximum(counts, 1)))
-            arm = int(np.argmax(index))
+            arm = int(np.argmax(_index(UCB1, state, width_sq, None)))
         else:
-            z = sampler.next_row()
-            if kind == FTPL_BOUNDED:
-                theta = means_hat + np.sqrt(rcb_width_sq / np.maximum(counts, 1)) * z
-            else:
-                theta = means_hat + z / np.sqrt(np.maximum(counts, 1))
-            arm = _argmax_random_ties(theta, policy_rng)
-        x = rewards[counts[arm], arm]
-        means_hat[arm] = (means_hat[arm] * counts[arm] + x) / (counts[arm] + 1)
-        counts[arm] += 1
+            arm = _argmax_random_ties(_index(kind, state, width_sq, sampler.next_row()), policy_rng)
+        update(state, arm, rewards[state.counts[arm], arm])
         arms[t] = arm
-        cumulative[t] = np.dot(gaps, counts)
+        cumulative[t] = np.dot(gaps, state.counts)
 
-    return RegretTrace(horizon=T, cumulative=cumulative, final_counts=counts, arms=arms)
+    return RegretTrace(horizon=T, cumulative=cumulative, final_counts=state.counts, arms=arms)

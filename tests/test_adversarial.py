@@ -22,12 +22,6 @@ class TestRewardMatrices:
         iid = adv.make_iid_rewards(10, 2, seed=0)
         np.testing.assert_array_equal(iid, adv.make_iid_rewards(10, 2, seed=0))
 
-    def test_csv_roundtrip(self, tmp_path):
-        rewards = adv.make_iid_rewards(6, 3, seed=1)
-        path = tmp_path / "rewards.csv"
-        adv.save_reward_matrix_csv(rewards, path)
-        np.testing.assert_allclose(adv.load_reward_matrix_csv(path), rewards, atol=1e-12)
-
 
 class TestShannon:
     def test_uniform(self):

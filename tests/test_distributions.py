@@ -53,37 +53,37 @@ class TestSpecValidation:
 class TestSampling:
     def test_deterministic_given_seed(self):
         for spec in CONTINUOUS_SPECS + [dist.rademacher()]:
-            a = dist.sample_vector(spec, np.random.default_rng(42), 100)
-            b = dist.sample_vector(spec, np.random.default_rng(42), 100)
+            a = dist.sample_array(spec, np.random.default_rng(42), 100)
+            b = dist.sample_array(spec, np.random.default_rng(42), 100)
             np.testing.assert_array_equal(a, b)
 
     def test_rademacher_two_point(self):
-        draws = dist.sample_vector(dist.rademacher(), np.random.default_rng(0), 1000)
+        draws = dist.sample_array(dist.rademacher(), np.random.default_rng(0), 1000)
         assert set(np.unique(draws)) == {-1.0, 1.0}
 
     def test_gaussian_mean_zero(self):
-        draws = dist.sample_vector(dist.gaussian(1.0), np.random.default_rng(1), 10**6)
+        draws = dist.sample_array(dist.gaussian(1.0), np.random.default_rng(1), 10**6)
         assert abs(draws.mean()) < 3.0 / math.sqrt(10**6) + 1e-9
 
     def test_pareto_shifted_mean(self):
         # E[X] = alpha/(alpha-1) - 1 = 1 for the shifted Pareto with alpha = 2.
-        draws = dist.sample_vector(dist.pareto(2.0), np.random.default_rng(2), 10**6)
+        draws = dist.sample_array(dist.pareto(2.0), np.random.default_rng(2), 10**6)
         stderr = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - 1.0) < 3.0 * stderr
 
     def test_gumbel_mean_is_euler_gamma(self):
-        draws = dist.sample_vector(dist.gumbel(), np.random.default_rng(3), 10**6)
+        draws = dist.sample_array(dist.gumbel(), np.random.default_rng(3), 10**6)
         stderr = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - np.euler_gamma) < 3.0 * stderr
 
     def test_weibull_alpha_one_is_standard_exponential(self):
-        draws = dist.sample_vector(dist.weibull(1.0), np.random.default_rng(4), 10**6)
+        draws = dist.sample_array(dist.weibull(1.0), np.random.default_rng(4), 10**6)
         stderr = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - 1.0) < 3.0 * stderr
 
     @pytest.mark.parametrize("spec", CONTINUOUS_SPECS, ids=spec_id)
     def test_sampler_matches_cdf(self, spec):
-        draws = np.sort(dist.sample_vector(spec, np.random.default_rng(5), 10**5))
+        draws = np.sort(dist.sample_array(spec, np.random.default_rng(5), 10**5))
         ecdf = np.arange(1, draws.size + 1) / draws.size
         ks = np.abs(np.asarray(dist.cdf(spec, draws)) - ecdf).max()
         assert ks < 0.01
@@ -223,7 +223,7 @@ class TestTailMetadata:
     )
     def test_two_sided_tail_bounds_hold_empirically(self, spec):
         meta = dist.tail_metadata(spec)
-        draws = np.abs(dist.sample_vector(spec, np.random.default_rng(6), 10**6))
+        draws = np.abs(dist.sample_array(spec, np.random.default_rng(6), 10**6))
         for t in (0.5, 1.0, 2.0, 4.0):
             frac = float(np.mean(draws >= t))
             assert frac <= meta.upper_bound(t)

@@ -129,7 +129,7 @@ class TestRandomizedSelection:
         seen = set()
         for s in range(100):
             rng = np.random.default_rng(s)
-            z = dist.sample_vector(dist.rademacher(), rng, 2)
+            z = dist.sample_array(dist.rademacher(), rng, 2)
             theta = state.means_hat + width * z
             assert np.all(np.isin(theta, np.concatenate([state.means_hat - width, state.means_hat + width])))
             seen.add(tuple(z))
