@@ -21,7 +21,7 @@ def _add_common(parser: argparse.ArgumentParser, needs_config: bool) -> None:
     parser.add_argument("--config", type=Path, required=needs_config, help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="master seed (overrides the config)")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="episode worker threads")
+    parser.add_argument("--threads", type=int, default=1, help="has no effect; episodes run in order on one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,6 +117,8 @@ def _run_theory_check(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         if args.command in ("stochastic", "adversarial"):
             return _run_simulation(args, args.command)
         if args.command == "grid-search":

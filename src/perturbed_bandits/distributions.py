@@ -397,7 +397,7 @@ GAUSSIAN_SHIFT = "gaussian_shift"
 GAUSSIAN_MIXTURE_SHIFT = "gaussian_mixture_shift"
 POINT = "point"
 
-_REWARD_KINDS = {UNIFORM_SHIFT, RADEMACHER_SHIFT, GAUSSIAN_SHIFT, GAUSSIAN_MIXTURE_SHIFT, POINT}
+REWARD_MODELS = (UNIFORM_SHIFT, RADEMACHER_SHIFT, GAUSSIAN_SHIFT, GAUSSIAN_MIXTURE_SHIFT, POINT)
 
 
 @dataclass(frozen=True)
@@ -412,7 +412,7 @@ class RewardModel:
     kind: str = GAUSSIAN_SHIFT
 
     def __post_init__(self) -> None:
-        if self.kind not in _REWARD_KINDS:
+        if self.kind not in REWARD_MODELS:
             raise ValueError(f"unknown reward model: {self.kind!r}")
 
     def sample_table(self, means: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:

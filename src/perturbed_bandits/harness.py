@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
@@ -26,6 +27,22 @@ from .stochastic import BanditInstance, PolicyConfig, run_episode
 DEFAULT_CHECKPOINTS = (100, 1000, 5000, 10000)
 
 MODES = ("stochastic", "adversarial", "evt", "theory")
+
+ADVERSARIES = ("single_best_arm", "constant", "iid")
+
+# The keys each policy and potential kind accepts besides "kind".  Any other
+# key is rejected, so a misspelt parameter cannot silently run at its default.
+POLICY_KEYS = {
+    "ucb1": (),
+    "thompson": (),
+    "ftpl": ("perturbation", "sigma"),
+    "rcb": ("perturbation", "epsilon"),
+}
+POTENTIAL_KEYS = {
+    "shannon": ("eta",),
+    "tsallis": ("eta", "alpha"),
+    "ftpl": ("perturbation", "eta", "shape", "mc_samples", "floor"),
+}
 
 CSV_HEADER = "policy,param,t,mean_avg_regret,stderr,episodes,seed"
 
@@ -55,15 +72,23 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("seed", "K", "T", "episodes", "n_blocks"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("checkpoints", "K_list"):
+            if not all(_is_int(v) for v in getattr(self, name)):
+                raise ValueError(f"{name} must be a list of integers, got {list(getattr(self, name))!r}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        RewardModel(self.reward_model)  # raises on an unknown reward model
+        if self.adversary not in ADVERSARIES:
+            raise ValueError(f"unknown adversary: {self.adversary!r}; expected one of {ADVERSARIES}")
         if self.mode in ("stochastic", "adversarial"):
             if self.episodes < 1:
                 raise ValueError("episodes must be >= 1")
             if self.K < 2 or self.T < 1:
                 raise ValueError("need K >= 2 and T >= 1")
-            grid = self.policies if self.mode == "stochastic" else self.potentials
-            if not grid:
+            if not self.grid():
                 raise ValueError(f"{self.mode} mode needs a nonempty parameter grid")
             cps = self.effective_checkpoints()
             if not cps:
@@ -73,38 +98,69 @@ class ExperimentConfig:
         cps = sorted(t for t in set(self.checkpoints) if 1 <= t <= self.T)
         return tuple(cps)
 
+    def grid(self) -> list[tuple]:
+        """The (policy or potential, parameter label) points of the parameter grid."""
+        if self.mode == "stochastic":
+            return [pt for entry in self.policies for pt in expand_policy_entry(entry)]
+        if self.mode == "adversarial":
+            return [pt for entry in self.potentials for pt in expand_potential_entry(entry, self.K, self.T)]
+        return []
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
 
 def _as_list(value) -> list:
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
+def _entry_kind(entry, allowed: dict[str, tuple[str, ...]], what: str) -> str:
+    """The kind of one policy or potential entry, after checking that the kind
+    is known, that every key belongs to it and that the perturbation is a name."""
+    kind = entry.get("kind") if isinstance(entry, dict) else None
+    if not isinstance(kind, str):
+        raise ValueError(f'every {what} needs a "kind", got {entry!r}')
+    if kind not in allowed:
+        raise ValueError(f"unknown {what} kind: {kind!r}")
+    unknown = sorted(set(entry) - {"kind", *allowed[kind]})
+    if unknown:
+        raise ValueError(f"unknown keys for {what} kind {kind!r}: {unknown}")
+    if not isinstance(entry.get("perturbation", ""), str):
+        raise ValueError(f"{what} perturbation must be a name, got {entry['perturbation']!r}")
+    return kind
+
+
 def expand_policy_entry(entry: dict) -> list[tuple[PolicyConfig, str]]:
     """One config dict -> list of (policy, parameter label) grid points."""
-    kind = entry["kind"]
+    kind = _entry_kind(entry, POLICY_KEYS, "policy")
     if kind in ("ucb1", "thompson"):
         return [(PolicyConfig(kind=kind), "")]
     pert = entry.get("perturbation", "gaussian" if kind == "ftpl" else "uniform")
     if kind == "ftpl":
         out = []
         for sigma in _as_list(entry.get("sigma", 1.0)):
+            sigma = _real(sigma, "sigma")
             if pert == "gaussian":
-                spec = dist.gaussian(float(sigma))
+                spec = dist.gaussian(sigma)
             elif pert == "double_exponential":
-                spec = dist.double_exponential(float(sigma))
+                spec = dist.double_exponential(sigma)
             else:
                 raise ValueError(f"unsupported ftpl perturbation: {pert!r}")
             cfg = PolicyConfig(kind="ftpl", spec=spec)
-            out.append((cfg, f"sigma={float(sigma):g}"))
+            out.append((cfg, f"sigma={sigma:g}"))
         return out
-    if kind == "rcb":
-        spec = {"uniform": dist.uniform(), "rademacher": dist.rademacher()}.get(pert)
-        if spec is None:
-            raise ValueError(f"unsupported rcb perturbation: {pert!r}")
-        return [
-            (PolicyConfig(kind="rcb", spec=spec, epsilon=float(e)), f"eps={float(e):g}")
-            for e in _as_list(entry.get("epsilon", 0.25))
-        ]
-    raise ValueError(f"unknown policy kind: {kind!r}")
+    spec = {"uniform": dist.uniform(), "rademacher": dist.rademacher()}.get(pert)
+    if spec is None:
+        raise ValueError(f"unsupported rcb perturbation: {pert!r}")
+    epsilons = [_real(e, "epsilon") for e in _as_list(entry.get("epsilon", 0.25))]
+    return [(PolicyConfig(kind="rcb", spec=spec, epsilon=e), f"eps={e:g}") for e in epsilons]
 
 
 def _auto_eta(spec: dist.PerturbationSpec, K: int, T: int) -> float:
@@ -120,44 +176,45 @@ def expand_potential_entry(entry: dict, K: int, T: int) -> list[tuple[PotentialS
     ``"eta": "auto"`` applies the hazard/block-maxima tuning rule; it needs a
     bounded-hazard perturbation, so it is only valid for ftpl potentials.
     """
-    kind = entry["kind"]
+    kind = _entry_kind(entry, POTENTIAL_KEYS, "potential")
     etas = entry.get("eta", 1.0)
-    alpha = float(entry.get("alpha", 0.5))
+    alpha = _real(entry.get("alpha", 0.5), "alpha")
     if kind == "ftpl":
         pert = entry.get("perturbation", "gumbel")
         makers = {
             "gumbel": lambda: dist.gumbel(),
-            "gamma": lambda: dist.gamma(float(entry.get("shape", 2.0))),
-            "weibull": lambda: dist.weibull(float(entry.get("shape", 1.0))),
-            "frechet": lambda: dist.frechet(float(entry.get("shape", 2.0))),
-            "pareto": lambda: dist.pareto(float(entry.get("shape", 2.0))),
+            "gamma": lambda: dist.gamma(_real(entry.get("shape", 2.0), "shape")),
+            "weibull": lambda: dist.weibull(_real(entry.get("shape", 1.0), "shape")),
+            "frechet": lambda: dist.frechet(_real(entry.get("shape", 2.0), "shape")),
+            "pareto": lambda: dist.pareto(_real(entry.get("shape", 2.0), "shape")),
         }
         if pert not in makers:
             raise ValueError(f"unsupported gbpa perturbation: {pert!r}")
         spec = makers[pert]()
+        mc_samples = entry.get("mc_samples", 1000)
+        if not _is_int(mc_samples):
+            raise ValueError(f"mc_samples must be an integer, got {mc_samples!r}")
+        floor = entry.get("floor")
+        floor = None if floor is None else _real(floor, "floor")
         if etas == "auto":
             etas = [_auto_eta(spec, K, T)]
         out = []
         for eta in _as_list(etas):
             p = PotentialSpec(
                 kind=adv.FTPL,
-                eta=float(eta),
+                eta=_real(eta, "eta"),
                 spec=spec,
-                mc_samples=int(entry.get("mc_samples", 1000)),
-                floor=entry.get("floor"),
+                mc_samples=int(mc_samples),
+                floor=floor,
             )
-            out.append((p, f"eta={float(eta):g}"))
+            out.append((p, f"eta={p.eta:g}"))
         return out
     if etas == "auto":
         raise ValueError('"auto" learning rate needs an ftpl potential')
+    etas = [_real(e, "eta") for e in _as_list(etas)]
     if kind == "shannon":
-        return [(PotentialSpec(kind=adv.SHANNON, eta=float(e)), f"eta={float(e):g}") for e in _as_list(etas)]
-    if kind == "tsallis":
-        return [
-            (PotentialSpec(kind=adv.TSALLIS, eta=float(e), alpha=alpha), f"eta={float(e):g}")
-            for e in _as_list(etas)
-        ]
-    raise ValueError(f"unknown potential kind: {kind!r}")
+        return [(PotentialSpec(kind=adv.SHANNON, eta=e), f"eta={e:g}") for e in etas]
+    return [(PotentialSpec(kind=adv.TSALLIS, eta=e, alpha=alpha), f"eta={e:g}") for e in etas]
 
 
 def load_config(path) -> ExperimentConfig:
@@ -167,6 +224,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    if not isinstance(raw, dict):
+        raise ValueError(f"a config must be a JSON object, got {raw!r}")
     known = {f for f in ExperimentConfig.__dataclass_fields__}
     unknown = set(raw) - known
     if unknown:
@@ -174,6 +233,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     raw = dict(raw)
     for key in ("checkpoints", "policies", "potentials", "K_list"):
         if key in raw:
+            if not isinstance(raw[key], (list, tuple)):
+                raise ValueError(f"{key} must be a list, got {raw[key]!r}")
             raw[key] = tuple(raw[key])
     return ExperimentConfig(**raw)
 
@@ -274,10 +335,8 @@ def _adversarial_episode(config: ExperimentConfig, potentials, checkpoints, epis
         rewards = adv.make_single_best_arm_rewards(config.T, config.K)
     elif config.adversary == "constant":
         rewards = adv.make_constant_rewards(config.T, config.K)
-    elif config.adversary == "iid":
-        rewards = adv.make_iid_rewards(config.T, config.K, children[1])
     else:
-        raise ValueError(f"unknown adversary: {config.adversary!r}")
+        rewards = adv.make_iid_rewards(config.T, config.K, children[1])
     out = np.empty((len(potentials), len(checkpoints)))
     for i, (potential, _) in enumerate(potentials):
         _, state = run_gbpa(rewards, potential, np.random.default_rng(children[2 + i]))
@@ -294,13 +353,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> AggregateResul
     """
     checkpoints = config.effective_checkpoints()
     if config.mode == "stochastic":
-        grid = [pt for entry in config.policies for pt in expand_policy_entry(entry)]
         episode = _stochastic_episode
     elif config.mode == "adversarial":
-        grid = [pt for entry in config.potentials for pt in expand_potential_entry(entry, config.K, config.T)]
         episode = _adversarial_episode
     else:
         raise ValueError(f"run_experiment does not handle mode {config.mode!r}")
+    grid = config.grid()
     per_episode = [episode(config, grid, checkpoints, e) for e in range(config.episodes)]
     avg = np.stack(per_episode, axis=2) / np.asarray(checkpoints, dtype=float)[:, None]
     labels = [(cfg.label(), param) for cfg, param in grid]

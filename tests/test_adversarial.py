@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from perturbed_bandits import adversarial as adv
 from perturbed_bandits import distributions as dist
@@ -82,6 +84,23 @@ class TestTsallis:
             adv.choice_prob_tsallis(G, 1.0, 0.5),
             adv.choice_prob_tsallis(G - 41.0, 1.0, 0.5),
             atol=1e-9,
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=hs.floats(0.05, 0.95),
+        G=hs.lists(hs.floats(-1e6, 1e6), min_size=2, max_size=8),
+        shift=hs.floats(-1e6, 1e6),
+    )
+    def test_probabilities_valid_and_shift_invariant(self, alpha, G, shift):
+        G = np.array(G)
+        p = adv.choice_prob_tsallis(G, 1.0, alpha)
+        assert np.all(p > 0.0)
+        assert abs(p.sum() - 1.0) <= 1e-12
+        # Shifting rounds G + shift to the precision of its magnitude.
+        scale = max(1.0, np.abs(G).max(), abs(shift))
+        np.testing.assert_allclose(
+            adv.choice_prob_tsallis(G + shift, 1.0, alpha), p, rtol=0.0, atol=64 * np.finfo(float).eps * scale
         )
 
     def test_alpha_near_one_approaches_softmax(self):

@@ -162,6 +162,39 @@ class TestErrorHandling:
         assert cli.main(["stochastic", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, raw, flags",
+        [
+            pytest.param("stochastic", dict(STOCH_CONFIG, T=400.0), [], id="float-T"),
+            pytest.param("stochastic", dict(STOCH_CONFIG, episodes=True), [], id="bool-episodes"),
+            pytest.param("stochastic", dict(STOCH_CONFIG, checkpoints=[100, 400.0]), [], id="float-checkpoint"),
+            pytest.param("stochastic", dict(STOCH_CONFIG, policies=[{"perturbation": "gaussian"}]), [], id="no-kind"),
+            pytest.param("stochastic", dict(STOCH_CONFIG, policies=[{"kind": "ftpl", "sigm": 5}]), [], id="unknown-key"),
+            pytest.param("stochastic", dict(STOCH_CONFIG, reward_model="cauchy_shift"), [], id="reward-model"),
+            pytest.param("adversarial", dict(ADV_CONFIG, adversary="adaptive"), [], id="adversary"),
+            pytest.param(
+                "adversarial",
+                dict(ADV_CONFIG, potentials=[{"kind": "ftpl", "perturbation": "gamma", "shape": [2.0, 3.0]}]),
+                [],
+                id="list-shape",
+            ),
+            pytest.param(
+                "adversarial",
+                dict(ADV_CONFIG, potentials=[{"kind": "tsallis", "eta": 5.0, "alpha": [0.5, 0.9]}]),
+                [],
+                id="list-alpha",
+            ),
+            pytest.param("stochastic", STOCH_CONFIG, ["--threads", "0"], id="threads-0"),
+            pytest.param("stochastic", STOCH_CONFIG, ["--threads", "-3"], id="threads-negative"),
+        ],
+    )
+    def test_bad_input_fails_closed(self, tmp_path, capsys, command, raw, flags):
+        path = write_config(tmp_path, raw)
+        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out"), *flags])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
     def test_invalid_config_contents(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(STOCH_CONFIG, K=0))
         assert cli.main(["stochastic", "--config", str(path), "--out", str(tmp_path)]) == 2

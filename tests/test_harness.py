@@ -39,6 +39,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="grid"):
             hz.config_from_dict({"mode": "stochastic", "seed": 0, "policies": []})
 
+    def test_unknown_reward_model_rejected(self):
+        with pytest.raises(ValueError, match="reward model"):
+            small_stochastic_config(reward_model="cauchy_shift")
+
     def test_checkpoints_clipped_to_horizon(self):
         cfg = small_stochastic_config(T=800, checkpoints=[100, 500, 5000])
         assert cfg.effective_checkpoints() == (100, 500)
@@ -155,20 +159,19 @@ class TestRunExperiment:
         assert all(abs(r.mean_avg_regret) < 1e-12 for r in result.rows)
 
     def test_unknown_adversary(self):
-        cfg = hz.config_from_dict(
-            {
-                "mode": "adversarial",
-                "seed": 2,
-                "K": 4,
-                "T": 300,
-                "episodes": 1,
-                "adversary": "adaptive",
-                "checkpoints": [100],
-                "potentials": [{"kind": "shannon", "eta": 5.0}],
-            }
-        )
         with pytest.raises(ValueError, match="adversary"):
-            hz.run_experiment(cfg)
+            hz.config_from_dict(
+                {
+                    "mode": "adversarial",
+                    "seed": 2,
+                    "K": 4,
+                    "T": 300,
+                    "episodes": 1,
+                    "adversary": "adaptive",
+                    "checkpoints": [100],
+                    "potentials": [{"kind": "shannon", "eta": 5.0}],
+                }
+            )
 
 
 class TestGridSearch:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.special import ndtr
 
 from perturbed_bandits import distributions as dist
@@ -210,6 +212,66 @@ class TestRunEpisode:
             trace = st.run_episode(inst, st.PolicyConfig(kind, spec=spec), seed=3)
             assert trace.final == float(np.dot(inst.gaps(), trace.final_counts))
             assert np.sum(trace.final_counts) == inst.horizon
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        policy=hs.sampled_from(
+            [
+                st.PolicyConfig("ucb1"),
+                st.PolicyConfig("thompson"),
+                st.PolicyConfig("ftpl", spec=dist.gaussian(0.5)),
+                st.PolicyConfig("ftpl", spec=dist.double_exponential(1.0)),
+                st.PolicyConfig("rcb", spec=dist.uniform(), epsilon=0.25),
+                st.PolicyConfig("rcb", spec=dist.rademacher(), epsilon=1.0),
+            ]
+        ),
+        means=hs.lists(hs.floats(0.0, 1.0), min_size=2, max_size=6),
+        horizon=hs.integers(1, 300),
+        model=hs.sampled_from(dist.REWARD_MODELS),
+        seed=hs.integers(0, 2**32 - 1),
+    )
+    def test_final_regret_is_gaps_dot_counts(self, policy, means, horizon, model, seed):
+        inst = self.make_instance(means, horizon=horizon, model=model)
+        trace = st.run_episode(inst, policy, seed=seed)
+        assert trace.final == float(np.dot(inst.gaps(), trace.final_counts))
+        assert np.sum(trace.final_counts) == horizon
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            st.PolicyConfig("ucb1"),
+            st.PolicyConfig("thompson"),
+            st.PolicyConfig("ftpl", spec=dist.double_exponential(1.0)),
+            st.PolicyConfig("rcb", spec=dist.uniform(), epsilon=0.25),
+        ],
+        ids=lambda p: p.label(),
+    )
+    def test_episode_matches_select_and_update(self, policy):
+        # Without ties the episode's block-drawn perturbations are the same
+        # stream as one draw per select_* call, so the arms must agree.
+        inst = self.make_instance([0.8, 0.4, 0.1, 0.5], horizon=300)
+        children = np.random.SeedSequence(21).spawn(2)
+        trace = st.run_episode(
+            inst,
+            policy,
+            reward_rng=np.random.default_rng(children[0]),
+            policy_rng=np.random.default_rng(children[1]),
+        )
+        rewards = inst.reward_model.sample_table(inst.means, inst.horizon, np.random.default_rng(children[0]))
+        rng = np.random.default_rng(children[1])
+        state = st.LearnerState.fresh(inst.num_arms)
+        for t in range(inst.horizon):
+            if policy.kind == "ucb1":
+                arm = st.select_ucb1(state, inst.horizon)
+            elif policy.kind == "thompson":
+                arm = st.select_thompson_gaussian(state, rng)
+            elif policy.kind == "ftpl":
+                arm = st.select_ftpl_unbounded(state, policy.spec, rng)
+            else:
+                arm = st.select_ftpl_bounded(state, policy.spec, inst.horizon, policy.epsilon, rng)
+            assert arm == trace.arms[t]
+            st.update(state, arm, rewards[state.counts[arm], arm])
+        np.testing.assert_array_equal(state.counts, trace.final_counts)
 
     def test_trace_nondecreasing(self):
         inst = self.make_instance([0.8, 0.4, 0.1])
