@@ -280,6 +280,8 @@ def run_episode(
         sampler = _BlockSampler(dist.gaussian(1.0), policy_rng, K)
     elif kind in (FTPL_UNBOUNDED, FTPL_BOUNDED):
         sampler = _BlockSampler(policy.spec, policy_rng, K)
+    else:
+        sampler = None
 
     for t in range(T):
         if kind == UCB1:
