@@ -71,12 +71,13 @@ def _tsallis_log_sum(nu: float, shifted: np.ndarray, alpha: float) -> tuple[floa
     overflows (alpha near 1, nu far from the root).
     """
     e = 1.0 / (alpha - 1.0)
-    log_terms = e * (math.log((1.0 - alpha) / alpha) + np.log(nu - shifted))
+    gap = nu - shifted
+    log_terms = e * (math.log((1.0 - alpha) / alpha) + np.log(gap))
     top = float(log_terms.max())
     w = np.exp(log_terms - top)
     total = float(w.sum())
     g = top + math.log(total)
-    dg = float(np.sum(w * (e / (nu - shifted)))) / total
+    dg = float((w * (e / gap)).sum()) / total
     return g, dg
 
 
@@ -89,7 +90,8 @@ def _solve_tsallis_nu(shifted: np.ndarray, alpha: float, nu0: float | None = Non
     """
     scale = max(1.0, float(-shifted.min()))
     lo = 1e-300
-    if nu0 is not None and nu0 > 0 and _tsallis_log_sum(nu0, shifted, alpha)[0] >= 0.0:
+    at_nu0 = _tsallis_log_sum(nu0, shifted, alpha) if nu0 is not None and nu0 > 0 else None
+    if at_nu0 is not None and at_nu0[0] >= 0.0:
         lo = nu0
     hi = max(lo, 0.0) + scale
     while _tsallis_log_sum(hi, shifted, alpha)[0] > 0.0:
@@ -101,7 +103,7 @@ def _solve_tsallis_nu(shifted: np.ndarray, alpha: float, nu0: float | None = Non
         nu = max(nu0, 1e-12)
     else:
         nu = 0.5 * (max(lo, 1e-12) + hi)
-    g, dg = _tsallis_log_sum(nu, shifted, alpha)
+    g, dg = at_nu0 if at_nu0 is not None and nu == nu0 else _tsallis_log_sum(nu, shifted, alpha)
     for _ in range(200):
         if abs(g) <= 1e-13:
             break
@@ -313,7 +315,7 @@ def run_gbpa(
         else:
             p = choice_prob_ftpl_mc(g_hat, potential.eta, potential.spec, potential.mc_samples, rho, rng)
         u = rng.random()
-        arm = int(np.searchsorted(np.cumsum(p), u * p.sum(), side="right"))
+        arm = int(p.cumsum().searchsorted(u * p.sum(), side="right"))
         arm = min(arm, K - 1)
         g = rewards[t, arm]
         realized += g

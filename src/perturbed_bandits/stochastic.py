@@ -4,6 +4,7 @@ FTPL with a widened bounded perturbation (the randomized confidence bound,
 RCB, algorithm)."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -108,27 +109,42 @@ def _argmax_random_ties(values: np.ndarray, rng: np.random.Generator) -> int:
     only consumed when an exact tie occurs (e.g. Rademacher), which keeps
     coupled runs of tie-free policies on identical streams.
     """
-    best = int(np.argmax(values))
-    top = values[best]
-    if np.count_nonzero(values == top) > 1:
-        ties = np.flatnonzero(values == top)
+    best = int(values.argmax())
+    # argmax returns the first maximum, so there is a tie exactly when the
+    # last maximum lies elsewhere.
+    if values[::-1].argmax() != values.size - 1 - best:
+        ties = np.flatnonzero(values == values[best])
         best = int(ties[rng.integers(ties.size)])
     return best
 
 
-def _index(kind: str, state: LearnerState, width_sq: float, z: np.ndarray | float | None) -> np.ndarray:
+def _scale(kind: str, pulls, width_sq: float):
+    """The scale of the perturbed index at ``pulls`` >= 1 pulls, for one arm
+    or an array of arms: sqrt(width_sq / T_i) for UCB1 and RCB, and sqrt(T_i),
+    which divides Z, for FTPL and Thompson sampling."""
+    if kind in (UCB1, FTPL_BOUNDED):
+        return np.sqrt(width_sq / pulls)
+    return np.sqrt(pulls)
+
+
+def _scales(kind: str, counts: np.ndarray, width_sq: float) -> np.ndarray:
+    """``_scale`` of every arm, an unpulled arm counting as pulled once, except
+    under UCB1, whose unpulled arms get an infinite scale so they come first."""
+    scale = _scale(kind, np.maximum(counts, 1), width_sq)
+    return np.where(counts == 0, np.inf, scale) if kind == UCB1 else scale
+
+
+def _index(kind: str, means: np.ndarray, scale: np.ndarray, z: np.ndarray | float | None) -> np.ndarray:
     """The perturbed index mean_i + scale_i * Z_i of every policy.
 
-    UCB1 is the Z = 1 case with scale sqrt(width_sq / T_i) and unpulled arms
-    at +inf; RCB uses the same widened scale with bounded Z; FTPL and
-    Thompson sampling use scale 1 / sqrt(1 v T_i) and ignore ``width_sq``.
+    UCB1 is the Z = 1 case; RCB multiplies its bounded Z by the widened scale;
+    FTPL and Thompson sampling divide Z by sqrt(1 v T_i).
     """
-    pulls = np.maximum(state.counts, 1)
     if kind == UCB1:
-        return np.where(state.counts == 0, np.inf, state.means_hat + np.sqrt(width_sq / pulls))
+        return means + scale
     if kind == FTPL_BOUNDED:
-        return state.means_hat + np.sqrt(width_sq / pulls) * z
-    return state.means_hat + z / np.sqrt(pulls)
+        return means + scale * z
+    return means + z / scale
 
 
 def select_ucb1(state: LearnerState, horizon: int) -> int:
@@ -136,7 +152,8 @@ def select_ucb1(state: LearnerState, horizon: int) -> int:
     unpulled arms come first (lowest index among them)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return int(np.argmax(_index(UCB1, state, 2.0 * math.log(horizon), None)))
+    width_sq = 2.0 * math.log(horizon)
+    return int(_index(UCB1, state.means_hat, _scales(UCB1, state.counts, width_sq), None).argmax())
 
 
 def select_thompson_gaussian(state: LearnerState, rng: np.random.Generator) -> int:
@@ -153,7 +170,8 @@ def select_ftpl_unbounded(state: LearnerState, spec: PerturbationSpec, rng: np.r
     if spec.bounded_support:
         raise ValueError("bounded perturbations need the widened rcb scaling; see select_ftpl_bounded")
     z = dist.sample_array(spec, rng, state.num_arms)
-    return _argmax_random_ties(_index(FTPL_UNBOUNDED, state, 0.0, z), rng)
+    theta = _index(FTPL_UNBOUNDED, state.means_hat, _scales(FTPL_UNBOUNDED, state.counts, 0.0), z)
+    return _argmax_random_ties(theta, rng)
 
 
 def select_ftpl_bounded(
@@ -169,14 +187,15 @@ def select_ftpl_bounded(
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
     z = dist.sample_array(spec, rng, state.num_arms)
-    theta = _index(FTPL_BOUNDED, state, (2.0 + epsilon) * math.log(horizon), z)
+    scale = _scales(FTPL_BOUNDED, state.counts, (2.0 + epsilon) * math.log(horizon))
+    theta = _index(FTPL_BOUNDED, state.means_hat, scale, z)
     return _argmax_random_ties(theta, rng)
 
 
 def update(state: LearnerState, arm: int, reward: float) -> LearnerState:
     """Fold one observed reward into the running average for ``arm``."""
-    n = state.counts[arm]
-    state.means_hat[arm] = (state.means_hat[arm] * n + reward) / (n + 1)
+    n = int(state.counts[arm])
+    state.means_hat[arm] = (float(state.means_hat[arm]) * n + reward) / (n + 1)
     state.counts[arm] = n + 1
     state.t += 1
     return state
@@ -202,7 +221,8 @@ def theta_support_intervals(
         kind, width_sq = FTPL_UNBOUNDED, 0.0
     else:
         kind, width_sq = FTPL_BOUNDED, (2.0 + epsilon) * math.log(horizon)
-    return _index(kind, state, width_sq, -1.0), _index(kind, state, width_sq, 1.0)
+    scale = _scales(kind, state.counts, width_sq)
+    return _index(kind, state.means_hat, scale, -1.0), _index(kind, state.means_hat, scale, 1.0)
 
 
 def make_lower_bound_instance(K: int, T: int, q: float) -> BanditInstance:
@@ -217,28 +237,14 @@ def make_lower_bound_instance(K: int, T: int, q: float) -> BanditInstance:
     return BanditInstance(means=means, reward_model=RewardModel(dist.POINT), horizon=T)
 
 
-class _BlockSampler:
-    """Serves K-vectors of perturbations from batched draws.
+def _perturbation_rows(spec: PerturbationSpec, rng: np.random.Generator, num_arms: int, block: int = 1024):
+    """Yields K-vectors of perturbations from batched draws.
 
     Batching only changes how often the generator is called, not the value
     stream: numpy generators fill arrays from the same sequential draws.
     """
-
-    def __init__(self, spec: PerturbationSpec, rng: np.random.Generator, num_arms: int, block: int = 1024):
-        self._spec = spec
-        self._rng = rng
-        self._k = num_arms
-        self._block = block
-        self._buf = np.empty((0, num_arms))
-        self._row = 0
-
-    def next_row(self) -> np.ndarray:
-        if self._row >= self._buf.shape[0]:
-            self._buf = dist.sample_array(self._spec, self._rng, (self._block, self._k))
-            self._row = 0
-        row = self._buf[self._row]
-        self._row += 1
-        return row
+    while True:
+        yield from dist.sample_array(spec, rng, (block, num_arms))
 
 
 def run_episode(
@@ -270,26 +276,29 @@ def run_episode(
     rewards = instance.reward_model.sample_table(instance.means, T, reward_rng)
 
     state = LearnerState.fresh(K)
+    pulls = np.zeros(K)
     cumulative = np.empty(T)
     arms = np.empty(T, dtype=np.int64)
 
     kind = policy.kind
     log_t = math.log(T) if T > 1 else 0.0
     width_sq = (2.0 + policy.epsilon) * log_t if kind == FTPL_BOUNDED else 2.0 * log_t
-    if kind == THOMPSON:
-        sampler = _BlockSampler(dist.gaussian(1.0), policy_rng, K)
-    elif kind in (FTPL_UNBOUNDED, FTPL_BOUNDED):
-        sampler = _BlockSampler(policy.spec, policy_rng, K)
+    scale = _scales(kind, state.counts, width_sq)
+    if kind == UCB1:
+        rows = itertools.repeat(None)
     else:
-        sampler = None
+        rows = _perturbation_rows(dist.gaussian(1.0) if kind == THOMPSON else policy.spec, policy_rng, K)
 
-    for t in range(T):
-        if kind == UCB1:
-            arm = int(np.argmax(_index(UCB1, state, width_sq, None)))
-        else:
-            arm = _argmax_random_ties(_index(kind, state, width_sq, sampler.next_row()), policy_rng)
-        update(state, arm, rewards[state.counts[arm], arm])
+    # Only the played arm's mean and scale change in a round, so the scale is
+    # updated in place; the pulls are kept as floats for the regret dot product.
+    for t, z in zip(range(T), rows):
+        theta = _index(kind, state.means_hat, scale, z)
+        arm = int(theta.argmax()) if kind == UCB1 else _argmax_random_ties(theta, policy_rng)
+        n = int(state.counts[arm])
+        update(state, arm, rewards[n, arm])
+        scale[arm] = _scale(kind, n + 1.0, width_sq)
+        pulls[arm] = n + 1
         arms[t] = arm
-        cumulative[t] = np.dot(gaps, state.counts)
+        cumulative[t] = gaps.dot(pulls)
 
     return RegretTrace(horizon=T, cumulative=cumulative, final_counts=state.counts, arms=arms)
