@@ -9,6 +9,7 @@ perturbation distribution.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,7 +251,7 @@ class PotentialSpec:
     ftpl(eta, perturbation, mc_samples, floor)."""
 
     kind: str
-    eta: float
+    eta: float = 1.0
     alpha: float = 0.5
     spec: PerturbationSpec | None = None
     mc_samples: int = 1000
@@ -266,8 +267,8 @@ class PotentialSpec:
         if self.kind == FTPL:
             if self.spec is None:
                 raise ValueError("ftpl potential needs a perturbation spec")
-            if self.mc_samples < 1:
-                raise ValueError("mc_samples must be >= 1")
+            if not isinstance(self.mc_samples, numbers.Integral) or self.mc_samples < 1:
+                raise ValueError(f"mc_samples must be an integer >= 1, got {self.mc_samples!r}")
 
     def label(self) -> str:
         if self.kind == SHANNON:

@@ -17,45 +17,35 @@ from . import harness
 from .choice_theory import rows_to_text
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_config: bool) -> None:
-    parser.add_argument("--config", type=Path, required=needs_config, help="JSON experiment config")
-    parser.add_argument("--seed", type=int, default=None, help="master seed (overrides the config)")
-    parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="has no effect; episodes run in order on one thread")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perturbed-bandits",
         description="Seeded bandit simulations and numerical theory checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, needs_config in (
-        ("stochastic", "stochastic-bandit regret experiment", True),
-        ("adversarial", "adversarial-bandit regret experiment", True),
-        ("grid-search", "exhaustive parameter tuning over a config's grids", True),
-        ("evt-table", "verify expected block maxima against their asymptotics", False),
-        ("theory-check", "verify choice-theory barriers and correspondences", False),
-    ):
+    for name, (help_text, _, needs_config, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p, needs_config)
+        p.add_argument("--config", type=Path, required=needs_config, help="JSON experiment config")
+        p.add_argument("--seed", type=int, default=None, help="master seed (overrides the config)")
+        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+        p.add_argument("--threads", type=int, default=1, help="has no effect; episodes run in order on one thread")
     return parser
 
 
-def _resolve_config(args: argparse.Namespace, mode: str) -> harness.ExperimentConfig:
-    if args.config is not None:
-        config = harness.load_config(args.config)
-        if mode in ("stochastic", "adversarial") and config.mode != mode:
-            raise SystemExit(f"config mode is {config.mode!r} but the {mode} command was invoked")
+def _resolve_config(args: argparse.Namespace) -> harness.ExperimentConfig:
+    _, modes, _, _ = COMMANDS[args.command]
+    if args.config is None:
+        config = harness.ExperimentConfig(mode=modes[0], seed=0)
     else:
-        config = harness.ExperimentConfig(mode=mode, seed=0)
+        config = harness.load_config(args.config)
+        if config.mode not in modes:
+            raise ValueError(f"config mode is {config.mode!r}, but {args.command} runs {' or '.join(modes)} configs")
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     return config
 
 
-def _run_simulation(args: argparse.Namespace, mode: str) -> int:
-    config = _resolve_config(args, mode)
+def _run_simulation(args: argparse.Namespace, config: harness.ExperimentConfig) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     result = harness.run_experiment(config, threads=args.threads)
     csv_path = args.out / f"{config.mode}_regret.csv"
@@ -65,8 +55,7 @@ def _run_simulation(args: argparse.Namespace, mode: str) -> int:
     return 0
 
 
-def _run_grid_search(args: argparse.Namespace) -> int:
-    config = _resolve_config(args, "grid-search")
+def _run_grid_search(args: argparse.Namespace, config: harness.ExperimentConfig) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     search = harness.grid_search(config, threads=args.threads)
     harness.emit_csv(search.all_results, args.out / "grid_results.csv")
@@ -84,8 +73,7 @@ def _run_grid_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_evt_table(args: argparse.Namespace) -> int:
-    config = _resolve_config(args, "evt")
+def _run_evt_table(args: argparse.Namespace, config: harness.ExperimentConfig) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     reports = harness.run_evt_mode(config, args.out / "evt_table.csv")
     failed = 0
@@ -102,8 +90,7 @@ def _run_evt_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_theory_check(args: argparse.Namespace) -> int:
-    config = _resolve_config(args, "theory")
+def _run_theory_check(args: argparse.Namespace, config: harness.ExperimentConfig) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     rows = harness.run_theory_mode(config, args.out / "theory_checks.txt")
     print(rows_to_text(rows), end="")
@@ -114,18 +101,29 @@ def _run_theory_check(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each command: its help text, the config modes it runs (without a config it
+# runs the defaults of the first), whether it needs a config, and its handler.
+COMMANDS = {
+    "stochastic": ("stochastic-bandit regret experiment", ("stochastic",), True, _run_simulation),
+    "adversarial": ("adversarial-bandit regret experiment", ("adversarial",), True, _run_simulation),
+    "grid-search": (
+        "exhaustive parameter tuning over a config's grids",
+        ("stochastic", "adversarial"),
+        True,
+        _run_grid_search,
+    ),
+    "evt-table": ("verify expected block maxima against their asymptotics", ("evt",), False, _run_evt_table),
+    "theory-check": ("verify choice-theory barriers and correspondences", ("theory",), False, _run_theory_check),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
-        if args.command in ("stochastic", "adversarial"):
-            return _run_simulation(args, args.command)
-        if args.command == "grid-search":
-            return _run_grid_search(args)
-        if args.command == "evt-table":
-            return _run_evt_table(args)
-        return _run_theory_check(args)
+        run = COMMANDS[args.command][3]
+        return run(args, _resolve_config(args))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -103,19 +103,19 @@ def gumbel(mu: float = 0.0, beta: float = 1.0) -> PerturbationSpec:
     return PerturbationSpec(GUMBEL, mu=mu, beta=beta)
 
 
-def gamma(alpha: float) -> PerturbationSpec:
+def gamma(alpha: float = 2.0) -> PerturbationSpec:
     return PerturbationSpec(GAMMA, alpha=alpha)
 
 
-def weibull(alpha: float) -> PerturbationSpec:
+def weibull(alpha: float = 1.0) -> PerturbationSpec:
     return PerturbationSpec(WEIBULL, alpha=alpha)
 
 
-def frechet(alpha: float) -> PerturbationSpec:
+def frechet(alpha: float = 2.0) -> PerturbationSpec:
     return PerturbationSpec(FRECHET, alpha=alpha)
 
 
-def pareto(alpha: float) -> PerturbationSpec:
+def pareto(alpha: float = 2.0) -> PerturbationSpec:
     return PerturbationSpec(PARETO, alpha=alpha)
 
 

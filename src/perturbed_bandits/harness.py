@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -30,18 +31,51 @@ MODES = ("stochastic", "adversarial", "evt", "theory")
 
 ADVERSARIES = ("single_best_arm", "constant", "iid")
 
-# The keys each policy and potential kind accepts besides "kind".  Any other
-# key is rejected, so a misspelt parameter cannot silently run at its default.
-POLICY_KEYS = {
-    "ucb1": (),
-    "thompson": (),
-    "ftpl": ("perturbation", "sigma"),
-    "rcb": ("perturbation", "epsilon"),
+# Each perturbation a config may name: its factory, and the config key of the
+# factory's one parameter (None if it takes none).  An absent key leaves the
+# factory's default.
+PERTURBATIONS = {
+    dist.GAUSSIAN: (dist.gaussian, "sigma"),
+    dist.DOUBLE_EXPONENTIAL: (dist.double_exponential, "sigma"),
+    dist.UNIFORM: (dist.uniform, None),
+    dist.RADEMACHER: (dist.rademacher, None),
+    dist.GUMBEL: (dist.gumbel, None),
+    dist.GAMMA: (dist.gamma, "shape"),
+    dist.WEIBULL: (dist.weibull, "shape"),
+    dist.FRECHET: (dist.frechet, "shape"),
+    dist.PARETO: (dist.pareto, "shape"),
 }
-POTENTIAL_KEYS = {
-    "shannon": ("eta",),
-    "tsallis": ("eta", "alpha"),
-    "ftpl": ("perturbation", "eta", "shape", "mc_samples", "floor"),
+
+
+class Kind(NamedTuple):
+    """One policy or potential kind: the keys passed to the object it builds,
+    the key that may hold a list of grid values, the grid point's label (a
+    format string of that object), and the perturbations it may use, the first
+    being the default.  It also accepts its perturbation's key and no other.
+    Defaults and range checks live in the objects it builds."""
+
+    keys: tuple[str, ...] = ()
+    grid: str = ""
+    label: str = ""
+    perturbations: tuple[str, ...] = ()
+
+
+POLICY_KINDS = {
+    "ucb1": Kind(),
+    "thompson": Kind(),
+    "ftpl": Kind((), "sigma", "sigma={0.spec.sigma:g}", (dist.GAUSSIAN, dist.DOUBLE_EXPONENTIAL)),
+    "rcb": Kind(("epsilon",), "epsilon", "eps={0.epsilon:g}", (dist.UNIFORM, dist.RADEMACHER)),
+}
+_ETA = "eta={0.eta:g}"
+POTENTIAL_KINDS = {
+    "shannon": Kind(("eta",), "eta", _ETA),
+    "tsallis": Kind(("eta", "alpha"), "eta", _ETA),
+    "ftpl": Kind(
+        ("eta", "mc_samples", "floor"),
+        "eta",
+        _ETA,
+        (dist.GUMBEL, dist.GAMMA, dist.WEIBULL, dist.FRECHET, dist.PARETO),
+    ),
 }
 
 CSV_HEADER = "policy,param,t,mean_avg_regret,stderr,episodes,seed"
@@ -88,8 +122,11 @@ class ExperimentConfig:
                 raise ValueError("episodes must be >= 1")
             if self.K < 2 or self.T < 1:
                 raise ValueError("need K >= 2 and T >= 1")
-            if not self.grid():
+            keys = [(obj.label(), param) for obj, param in self.grid()]
+            if not keys:
                 raise ValueError(f"{self.mode} mode needs a nonempty parameter grid")
+            if len(set(keys)) < len(keys):
+                raise ValueError(f"duplicate grid points: {sorted({k for k in keys if keys.count(k) > 1})}")
             cps = self.effective_checkpoints()
             if not cps:
                 raise ValueError("no checkpoint lies within the horizon")
@@ -111,59 +148,55 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _real(value, name: str) -> float:
+def _number(value, name: str):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    return value
 
 
-def _as_list(value) -> list:
-    return list(value) if isinstance(value, (list, tuple)) else [value]
-
-
-def _entry_kind(entry, allowed: dict[str, tuple[str, ...]], what: str) -> str:
-    """The kind of one policy or potential entry, after checking that the kind
-    is known, that every key belongs to it and that the perturbation is a name."""
+def _expand(entry, table: dict[str, Kind], build, what: str, auto=None) -> list[tuple]:
+    """Check one policy or potential entry against its kind's row of ``table``
+    and build one object per value of the row's grid key.  A grid value of
+    ``"auto"`` is replaced by ``auto(perturbation spec)`` when ``auto`` is given."""
     kind = entry.get("kind") if isinstance(entry, dict) else None
-    if not isinstance(kind, str):
-        raise ValueError(f'every {what} needs a "kind", got {entry!r}')
-    if kind not in allowed:
-        raise ValueError(f"unknown {what} kind: {kind!r}")
-    unknown = sorted(set(entry) - {"kind", *allowed[kind]})
+    if not isinstance(kind, str) or kind not in table:
+        raise ValueError(f'every {what} needs a "kind" out of {list(table)}, got {entry!r}')
+    row = table[kind]
+    pert = entry.get("perturbation", next(iter(row.perturbations), None))
+    if "perturbation" in entry and pert not in row.perturbations:
+        raise ValueError(f"{what} kind {kind!r} cannot use perturbation {pert!r}, only {list(row.perturbations)}")
+    make_spec, spec_key = PERTURBATIONS.get(pert, (None, None))
+    unknown = sorted(set(entry) - {"kind", "perturbation", spec_key, *row.keys})
     if unknown:
-        raise ValueError(f"unknown keys for {what} kind {kind!r}: {unknown}")
-    if not isinstance(entry.get("perturbation", ""), str):
-        raise ValueError(f"{what} perturbation must be a name, got {entry['perturbation']!r}")
-    return kind
+        with_pert = f" with perturbation {pert!r}" if pert else ""
+        raise ValueError(f"unknown keys for {what} kind {kind!r}{with_pert}: {unknown}")
+    params = {k: v for k, v in entry.items() if k not in ("kind", "perturbation")}
+    points = [params]
+    if row.grid in params:
+        values = params[row.grid] if isinstance(params[row.grid], list) else [params[row.grid]]
+        if not values:
+            raise ValueError(f"{row.grid} must not be an empty list")
+        points = [dict(params, **{row.grid: v}) for v in values]
+    out = []
+    for point in points:
+        spec = None
+        if make_spec is not None:
+            spec = make_spec(*[_number(point.pop(spec_key), spec_key)] if spec_key in point else [])
+        if auto is not None and entry.get(row.grid) == "auto":
+            point[row.grid] = auto(spec)
+        obj = build(kind=kind, spec=spec, **{k: _number(v, k) for k, v in point.items()})
+        out.append((obj, row.label.format(obj)))
+    return out
 
 
 def expand_policy_entry(entry: dict) -> list[tuple[PolicyConfig, str]]:
     """One config dict -> list of (policy, parameter label) grid points."""
-    kind = _entry_kind(entry, POLICY_KEYS, "policy")
-    if kind in ("ucb1", "thompson"):
-        return [(PolicyConfig(kind=kind), "")]
-    pert = entry.get("perturbation", "gaussian" if kind == "ftpl" else "uniform")
-    if kind == "ftpl":
-        out = []
-        for sigma in _as_list(entry.get("sigma", 1.0)):
-            sigma = _real(sigma, "sigma")
-            if pert == "gaussian":
-                spec = dist.gaussian(sigma)
-            elif pert == "double_exponential":
-                spec = dist.double_exponential(sigma)
-            else:
-                raise ValueError(f"unsupported ftpl perturbation: {pert!r}")
-            cfg = PolicyConfig(kind="ftpl", spec=spec)
-            out.append((cfg, f"sigma={sigma:g}"))
-        return out
-    spec = {"uniform": dist.uniform(), "rademacher": dist.rademacher()}.get(pert)
+    return _expand(entry, POLICY_KINDS, PolicyConfig, "policy")
+
+
+def _auto_eta(spec: dist.PerturbationSpec | None, K: int, T: int) -> float:
     if spec is None:
-        raise ValueError(f"unsupported rcb perturbation: {pert!r}")
-    epsilons = [_real(e, "epsilon") for e in _as_list(entry.get("epsilon", 0.25))]
-    return [(PolicyConfig(kind="rcb", spec=spec, epsilon=e), f"eps={e:g}") for e in epsilons]
-
-
-def _auto_eta(spec: dist.PerturbationSpec, K: int, T: int) -> float:
+        raise ValueError('"auto" learning rate needs an ftpl potential')
     sup_h = dist.sup_hazard(spec)
     if isinstance(sup_h, dist.HazardInterval):
         sup_h = sup_h.estimate
@@ -176,45 +209,11 @@ def expand_potential_entry(entry: dict, K: int, T: int) -> list[tuple[PotentialS
     ``"eta": "auto"`` applies the hazard/block-maxima tuning rule; it needs a
     bounded-hazard perturbation, so it is only valid for ftpl potentials.
     """
-    kind = _entry_kind(entry, POTENTIAL_KEYS, "potential")
-    etas = entry.get("eta", 1.0)
-    alpha = _real(entry.get("alpha", 0.5), "alpha")
-    if kind == "ftpl":
-        pert = entry.get("perturbation", "gumbel")
-        makers = {
-            "gumbel": lambda: dist.gumbel(),
-            "gamma": lambda: dist.gamma(_real(entry.get("shape", 2.0), "shape")),
-            "weibull": lambda: dist.weibull(_real(entry.get("shape", 1.0), "shape")),
-            "frechet": lambda: dist.frechet(_real(entry.get("shape", 2.0), "shape")),
-            "pareto": lambda: dist.pareto(_real(entry.get("shape", 2.0), "shape")),
-        }
-        if pert not in makers:
-            raise ValueError(f"unsupported gbpa perturbation: {pert!r}")
-        spec = makers[pert]()
-        mc_samples = entry.get("mc_samples", 1000)
-        if not _is_int(mc_samples):
-            raise ValueError(f"mc_samples must be an integer, got {mc_samples!r}")
-        floor = entry.get("floor")
-        floor = None if floor is None else _real(floor, "floor")
-        if etas == "auto":
-            etas = [_auto_eta(spec, K, T)]
-        out = []
-        for eta in _as_list(etas):
-            p = PotentialSpec(
-                kind=adv.FTPL,
-                eta=_real(eta, "eta"),
-                spec=spec,
-                mc_samples=int(mc_samples),
-                floor=floor,
-            )
-            out.append((p, f"eta={p.eta:g}"))
-        return out
-    if etas == "auto":
-        raise ValueError('"auto" learning rate needs an ftpl potential')
-    etas = [_real(e, "eta") for e in _as_list(etas)]
-    if kind == "shannon":
-        return [(PotentialSpec(kind=adv.SHANNON, eta=e), f"eta={e:g}") for e in etas]
-    return [(PotentialSpec(kind=adv.TSALLIS, eta=e, alpha=alpha), f"eta={e:g}") for e in etas]
+    points = _expand(entry, POTENTIAL_KINDS, PotentialSpec, "potential", auto=lambda spec: _auto_eta(spec, K, T))
+    for potential, _ in points:
+        if potential.floor is not None:  # raises unless the floor lies in (0, 1/K)
+            adv.floor_probabilities(np.full(K, 1.0 / K), potential.floor)
+    return points
 
 
 def load_config(path) -> ExperimentConfig:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,60 @@ class TestFtplMc:
     def test_floor_domain(self):
         with pytest.raises(ValueError):
             adv.floor_probabilities(np.full(4, 0.25), 0.3)
+
+
+EPS = np.finfo(float).eps
+
+
+@hs.composite
+def floored_inputs(draw, low=0.0):
+    """A normalized probability vector p of size K, from weights of at least
+    ``low``, and a floor rho in (0, 1/K)."""
+    K = draw(hs.integers(2, 64))
+    weights = np.array(draw(hs.lists(hs.floats(low, 1.0), min_size=K, max_size=K)))
+    if draw(hs.booleans()):  # many entries below any floor
+        weights = weights**8
+    hypothesis.assume(weights.sum() > 0.0)
+    rho = draw(hs.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) / K
+    hypothesis.assume(0.0 < rho < 1.0 / K)
+    return weights / weights.sum(), rho
+
+
+class TestFloorProbabilities:
+    """Properties of ``floor_probabilities`` for any K, normalized p and rho
+    in (0, 1/K).  Tolerances come from rounding alone: each of the K entries
+    (all at most 1) goes through about five roundings of relative size eps
+    (the normalization of p, the slack, the product and quotient, the
+    subtraction) and the sum adds one more per entry, so a sum is off by at
+    most a few K*eps and a single entry by a few eps; 8*K*eps and 8*eps leave
+    a margin over that count."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(floored_inputs())
+    def test_sums_to_one(self, inputs):
+        p, rho = inputs
+        assert abs(adv.floor_probabilities(p, rho).sum() - 1.0) <= 8 * p.size * EPS
+
+    @settings(max_examples=300, deadline=None)
+    @given(floored_inputs())
+    def test_every_entry_at_least_the_floor(self, inputs):
+        p, rho = inputs
+        assert adv.floor_probabilities(p, rho).min() >= rho - 8 * EPS
+
+    @settings(max_examples=300, deadline=None)
+    @given(floored_inputs())
+    def test_order_kept(self, inputs):
+        p, rho = inputs
+        out = adv.floor_probabilities(p, rho)
+        assert np.all(np.diff(out[np.argsort(p, kind="stable")]) >= -8 * EPS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(floored_inputs(low=1e-3), hs.floats(1e-3, 1.0))
+    def test_unchanged_when_no_entry_is_below_the_floor(self, inputs, fraction):
+        p, _ = inputs
+        rho = fraction * p.min()
+        hypothesis.assume(0.0 < rho < 1.0 / p.size)
+        np.testing.assert_allclose(adv.floor_probabilities(p, rho), p, rtol=0.0, atol=8 * p.size * EPS)
 
 
 class TestIpw:

@@ -15,6 +15,8 @@ STOCH_CONFIG = {
     "policies": [{"kind": "ucb1"}, {"kind": "ftpl", "sigma": 1.0}],
 }
 
+EVT_CONFIG = {"mode": "evt", "seed": 3, "K_list": [500], "n_blocks": 30_000}
+
 ADV_CONFIG = {
     "mode": "adversarial",
     "seed": 11,
@@ -100,10 +102,27 @@ class TestStochasticCommand:
             b / "stochastic_regret.csv"
         ).read_bytes()
 
-    def test_mode_mismatch_rejected(self, tmp_path):
-        config = write_config(tmp_path, ADV_CONFIG)
-        with pytest.raises(SystemExit):
-            cli.main(["stochastic", "--config", str(config), "--out", str(tmp_path)])
+    @pytest.mark.parametrize(
+        "command, raw",
+        [
+            pytest.param(command, raw, id=command)
+            for command, raw in (
+                ("stochastic", ADV_CONFIG),
+                ("adversarial", STOCH_CONFIG),
+                ("grid-search", EVT_CONFIG),
+                ("evt-table", STOCH_CONFIG),
+                ("theory-check", STOCH_CONFIG),
+            )
+        ],
+    )
+    def test_mode_mismatch_rejected(self, tmp_path, capsys, command, raw):
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:") and "mode" in err[0], err
+        assert not out.exists()
 
 
 class TestAdversarialCommand:
@@ -132,9 +151,7 @@ class TestGridSearchCommand:
 
 class TestVerificationCommands:
     def test_evt_table_passes_with_config(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path, {"mode": "evt", "seed": 3, "K_list": [500], "n_blocks": 30_000}
-        )
+        config = write_config(tmp_path, EVT_CONFIG)
         out = tmp_path / "evt"
         assert cli.main(["evt-table", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "evt_table.csv").exists()
@@ -184,16 +201,62 @@ class TestErrorHandling:
                 [],
                 id="list-alpha",
             ),
+            pytest.param(
+                "adversarial",
+                dict(ADV_CONFIG, potentials=[{"kind": "shannon", "eta": 8.0}, {"kind": "ftpl", "eta": 5.0, "floor": 0.5}]),
+                [],
+                id="floor-above-1/K",
+            ),
+            pytest.param(
+                "adversarial",
+                dict(ADV_CONFIG, potentials=[{"kind": "ftpl", "perturbation": "gumbel", "shape": 7}]),
+                [],
+                id="gumbel-shape",
+            ),
+            pytest.param(
+                "stochastic",
+                dict(STOCH_CONFIG, policies=[{"kind": "ucb1"}, {"kind": "ftpl", "sigma": []}]),
+                [],
+                id="empty-sigma",
+            ),
+            pytest.param(
+                "stochastic",
+                dict(STOCH_CONFIG, policies=[{"kind": "ucb1"}, {"kind": "rcb", "epsilon": []}]),
+                [],
+                id="empty-epsilon",
+            ),
+            pytest.param(
+                "adversarial",
+                dict(ADV_CONFIG, potentials=[{"kind": "shannon", "eta": 8.0}, {"kind": "tsallis", "eta": []}]),
+                [],
+                id="empty-eta",
+            ),
+            pytest.param(
+                "stochastic",
+                dict(STOCH_CONFIG, policies=[{"kind": "ftpl", "sigma": [1, 1.0]}]),
+                [],
+                id="duplicate-sigma",
+            ),
+            pytest.param(
+                "stochastic",
+                dict(STOCH_CONFIG, policies=[{"kind": "rcb", "perturbation": "gaussian"}]),
+                [],
+                id="rcb-gaussian",
+            ),
             pytest.param("stochastic", STOCH_CONFIG, ["--threads", "0"], id="threads-0"),
             pytest.param("stochastic", STOCH_CONFIG, ["--threads", "-3"], id="threads-negative"),
         ],
     )
     def test_bad_input_fails_closed(self, tmp_path, capsys, command, raw, flags):
         path = write_config(tmp_path, raw)
-        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out"), *flags])
+        out = tmp_path / "out"
+        code = cli.main([command, "--config", str(path), "--out", str(out), *flags])
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:"), err
+        # the error is raised before the output directory is made, so before
+        # the first episode
+        assert not out.exists()
 
     def test_invalid_config_contents(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(STOCH_CONFIG, K=0))

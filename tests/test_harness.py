@@ -107,6 +107,44 @@ class TestGridExpansion:
             hz.expand_potential_entry({"kind": "shannon", "eta": "auto"}, K=10, T=1000)
 
 
+# A valid value other than the default for every key a kind accepts.
+NON_DEFAULT = {"sigma": 2.0, "epsilon": 0.5, "eta": 3.0, "alpha": 0.7, "shape": 3.0, "mc_samples": 7, "floor": 0.01}
+
+FAMILIES = (
+    (hz.POLICY_KINDS, hz.expand_policy_entry),
+    (hz.POTENTIAL_KINDS, lambda entry: hz.expand_potential_entry(entry, K=10, T=1000)),
+)
+
+
+def _kinds():
+    for table, expand in FAMILIES:
+        for kind, row in table.items():
+            yield expand, kind, row
+
+
+def _key_cases():
+    for expand, kind, row in _kinds():
+        for pert in row.perturbations or (None,):
+            base = {"kind": kind} if pert is None else {"kind": kind, "perturbation": pert}
+            keys = [*row.keys, hz.PERTURBATIONS[pert][1]] if pert else list(row.keys)
+            for key in filter(None, keys):
+                yield pytest.param(expand, base, key, id=f"{kind}-{pert}-{key}")
+
+
+class TestKindTables:
+    @pytest.mark.parametrize("expand, base, key", list(_key_cases()))
+    def test_no_accepted_key_is_ignored(self, expand, base, key):
+        assert expand({**base, key: NON_DEFAULT[key]}) != expand(base)
+
+    def test_each_perturbation_name_builds_that_distribution(self):
+        for expand, kind, row in _kinds():
+            for pert in row.perturbations:
+                [(obj, _)] = expand({"kind": kind, "perturbation": pert})
+                assert obj.spec.kind == pert
+            if row.perturbations:  # the first is the default
+                assert expand({"kind": kind}) == expand({"kind": kind, "perturbation": row.perturbations[0]})
+
+
 class TestRunExperiment:
     def test_single_episode_equals_trace(self):
         cfg = small_stochastic_config(episodes=1, policies=[{"kind": "ucb1"}])
@@ -194,12 +232,16 @@ class TestGridSearch:
         winner = search.best[0]
         assert finals[winner.best_param] == min(finals.values())
 
-    def test_ties_to_first_grid_point(self):
-        # identical parameter twice: exact tie, first one wins and the
-        # duplicate is flagged as within-stderr
-        cfg = small_stochastic_config(policies=[{"kind": "ftpl", "sigma": [1.0, 1.0]}])
-        search = hz.grid_search(cfg)
-        assert search.best[0].best_param == "sigma=1"
+    def test_ties_to_first_grid_point(self, monkeypatch):
+        # an exact tie between two grid points: the first one wins and the
+        # other is flagged as within-stderr
+        rows = tuple(
+            hz.ResultRow("ftpl-gaussian", param, 500, 0.1, 0.0, 4, 5) for param in ("sigma=2", "sigma=1")
+        )
+        monkeypatch.setattr(hz, "run_experiment", lambda config, threads: hz.AggregateResult(rows))
+        search = hz.grid_search(small_stochastic_config())
+        assert search.best[0].best_param == "sigma=2"
+        assert search.best[0].tied_within_stderr == ("sigma=1",)
 
 
 class TestEmission:
