@@ -91,6 +91,20 @@ CASES = {
                             "policies": [FIGURE_POLICIES[i] for i in (0, 1, 3, 4)]}),
     **{f"gbpa-{adversary}": ("adversarial", _gbpa(adversary)) for adversary in ("single_best_arm", "constant", "iid")},
     "theory-check": ("theory-check", {"mode": "theory", "seed": SEED}),
+    # Grid search over GBPA potentials, and FTPL potentials with heavy-tailed
+    # perturbations whose learning rate is tuned from their block maxima.
+    "gbpa-grid-search": ("grid-search", {
+        "mode": "adversarial", "seed": SEED, "K": 5, "T": 1000, "episodes": 3, "adversary": "iid",
+        "checkpoints": [100, 1000],
+        "potentials": [{"kind": "shannon", "eta": [20.0, 80.0]},
+                       {"kind": "tsallis", "eta": [10.0, 40.0], "alpha": 0.5},
+                       {"kind": "ftpl", "perturbation": "gumbel", "eta": [10.0, 40.0], "mc_samples": 50}]}),
+    "gbpa-heavy-tail": ("adversarial", {
+        "mode": "adversarial", "seed": SEED, "K": 5, "T": 1000, "episodes": 2, "adversary": "single_best_arm",
+        "checkpoints": [100, 1000],
+        "potentials": [{"kind": "ftpl", "perturbation": "frechet", "eta": "auto", "mc_samples": 100},
+                       {"kind": "ftpl", "perturbation": "pareto", "shape": 3.0, "eta": "auto", "mc_samples": 100},
+                       {"kind": "ftpl", "perturbation": "weibull", "eta": "auto", "mc_samples": 100}]}),
 }
 
 
