@@ -142,20 +142,19 @@ def _tsallis_probabilities(
     return p / p.sum(), nu
 
 
-def solve_tsallis_lambda(G: np.ndarray, alpha: float, x0: float | None = None) -> float:
+def solve_tsallis_lambda(G: np.ndarray, alpha: float) -> float:
     """The unique lam > max(G) normalizing the Tsallis choice probabilities
-    to residual <= 1e-12.  ``x0`` warm-starts from a previous solve."""
+    to residual <= 1e-12."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     G = np.asarray(G, dtype=float)
     if not np.all(np.isfinite(G)):
         raise ValueError("G must be finite")
     top = float(G.max())
-    nu0 = None if x0 is None else x0 - top
-    return top + _solve_tsallis_nu(G - top, alpha, nu0)
+    return top + _solve_tsallis_nu(G - top, alpha)
 
 
-def choice_prob_tsallis(G: np.ndarray, eta: float, alpha: float, x0: float | None = None) -> np.ndarray:
+def choice_prob_tsallis(G: np.ndarray, eta: float, alpha: float) -> np.ndarray:
     """FTRL gradient for the Tsallis entropy regularizer.
 
     The learning rate enters by rescaling G to G/eta before the eta = 1
@@ -164,9 +163,7 @@ def choice_prob_tsallis(G: np.ndarray, eta: float, alpha: float, x0: float | Non
     if not eta > 0:
         raise ValueError("eta must be > 0")
     G = np.asarray(G, dtype=float) / eta
-    shifted = G - G.max()
-    nu0 = None if x0 is None else x0 - float(G.max())
-    return _tsallis_probabilities(shifted, alpha, nu0)[0]
+    return _tsallis_probabilities(G - G.max(), alpha)[0]
 
 
 def floor_probabilities(p: np.ndarray, rho: float) -> np.ndarray:
@@ -223,16 +220,6 @@ def _argmax_counts(
     return counts
 
 
-def ipw_estimate(observed: float, arm: int, p: np.ndarray) -> np.ndarray:
-    """Inverse-probability-weighted reward vector: observed/p_arm at ``arm``."""
-    p = np.asarray(p, dtype=float)
-    if p[arm] <= 0.0:
-        raise ValueError("selection probability must be positive")
-    out = np.zeros_like(p)
-    out[arm] = observed / p[arm]
-    return out
-
-
 def tune_eta(K: int, T: int, sup_h: float, e_mk: float) -> float:
     """Scale minimizing eta * E[M_K] + K * sup_h * T / eta."""
     if min(K, T) < 1 or sup_h <= 0 or e_mk <= 0:
@@ -282,7 +269,6 @@ class PotentialSpec:
 class GbpaState:
     """End-of-run state: estimated cumulative rewards, realized total, arms."""
 
-    t: int
     g_hat_cum: np.ndarray
     realized_reward: float
     arms: np.ndarray
@@ -324,7 +310,7 @@ def run_gbpa(
         arms[t] = arm
 
     regret = float(rewards.sum(axis=0).max() - realized)
-    state = GbpaState(t=T, g_hat_cum=g_hat, realized_reward=realized, arms=arms)
+    state = GbpaState(g_hat_cum=g_hat, realized_reward=realized, arms=arms)
     return regret, state
 
 

@@ -46,7 +46,6 @@ def _resolve_config(args: argparse.Namespace) -> harness.ExperimentConfig:
 
 
 def _run_simulation(args: argparse.Namespace, config: harness.ExperimentConfig) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
     result = harness.run_experiment(config, threads=args.threads)
     csv_path = args.out / f"{config.mode}_regret.csv"
     harness.emit_csv(result, csv_path)
@@ -56,7 +55,6 @@ def _run_simulation(args: argparse.Namespace, config: harness.ExperimentConfig) 
 
 
 def _run_grid_search(args: argparse.Namespace, config: harness.ExperimentConfig) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
     search = harness.grid_search(config, threads=args.threads)
     harness.emit_csv(search.all_results, args.out / "grid_results.csv")
     best_path = args.out / "grid_best.json"
@@ -73,32 +71,29 @@ def _run_grid_search(args: argparse.Namespace, config: harness.ExperimentConfig)
     return 0
 
 
+def _exit_status(results, what: str) -> int:
+    """1, with a count of the failures on stderr, if any of ``results`` failed; else 0."""
+    failed = sum(not r.passed for r in results)
+    if failed:
+        print(f"{failed} of {len(results)} {what}", file=sys.stderr)
+    return int(failed > 0)
+
+
 def _run_evt_table(args: argparse.Namespace, config: harness.ExperimentConfig) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
     reports = harness.run_evt_mode(config, args.out / "evt_table.csv")
-    failed = 0
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
-        failed += not r.passed
         print(
             f"{status}  {r.spec.label()} K={r.block_size}: mc={r.mc_estimate:.4f} "
             f"asymptotic={r.asymptotic:.4f} stderr={r.mc_stderr:.2g}"
         )
-    if failed:
-        print(f"{failed} of {len(reports)} block-maxima rows outside tolerance", file=sys.stderr)
-        return 1
-    return 0
+    return _exit_status(reports, "block-maxima rows outside tolerance")
 
 
 def _run_theory_check(args: argparse.Namespace, config: harness.ExperimentConfig) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
     rows = harness.run_theory_mode(config, args.out / "theory_checks.txt")
     print(rows_to_text(rows), end="")
-    failed = sum(not r.passed for r in rows)
-    if failed:
-        print(f"{failed} of {len(rows)} theory checks failed", file=sys.stderr)
-        return 1
-    return 0
+    return _exit_status(rows, "theory checks failed")
 
 
 # Each command: its help text, the config modes it runs (without a config it
@@ -122,8 +117,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
-        run = COMMANDS[args.command][3]
-        return run(args, _resolve_config(args))
+        config = _resolve_config(args)
+        args.out.mkdir(parents=True, exist_ok=True)
+        return COMMANDS[args.command][3](args, config)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

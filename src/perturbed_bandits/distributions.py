@@ -142,7 +142,12 @@ def sample_array(spec: PerturbationSpec, rng: np.random.Generator, shape) -> np.
         return rng.laplace(0.0, spec.sigma, shape)
     if kind == GAMMA:
         return rng.standard_gamma(spec.alpha, shape)
-    u = rng.random(shape)
+    return _inverse_cdf(spec, rng.random(shape))
+
+
+def _inverse_cdf(spec: PerturbationSpec, u):
+    """The Gumbel, Weibull, Frechet or Pareto quantile at ``u`` in [0, 1)."""
+    kind = spec.kind
     if kind == GUMBEL:
         return spec.mu - spec.beta * np.log(-np.log1p(u - 1.0))
     if kind == WEIBULL:
@@ -265,18 +270,10 @@ def quantile(spec: PerturbationSpec, u):
             spec.sigma * np.log(2.0 * u_arr),
             -spec.sigma * np.log(2.0 * (1.0 - u_arr)),
         )
-    elif kind == GUMBEL:
-        out = spec.mu - spec.beta * np.log(-np.log(u_arr))
     elif kind == GAMMA:
         out = special.gammaincinv(spec.alpha, u_arr)
-    elif kind == WEIBULL:
-        out = (1.0 - np.log1p(-u_arr)) ** (1.0 / spec.alpha) - 1.0
-    elif kind == FRECHET:
-        out = (-np.log(u_arr)) ** (-1.0 / spec.alpha)
-    elif kind == PARETO:
-        out = (1.0 - u_arr) ** (-1.0 / spec.alpha) - 1.0
     else:
-        raise AssertionError(kind)
+        out = _inverse_cdf(spec, u_arr)
     return out if out.ndim else float(out)
 
 

@@ -100,14 +100,8 @@ def asymptotic_block_max(spec: PerturbationSpec, K: int) -> float:
     return float(special.gamma(1.0 - 1.0 / spec.alpha)) * a + b
 
 
-def default_table_specs() -> list[PerturbationSpec]:
-    return [
-        dist.gumbel(0.0, 1.0),
-        dist.gamma(2.0),
-        dist.weibull(1.0),
-        dist.frechet(2.0),
-        dist.pareto(2.0),
-    ]
+# The distributions of the verification table, one row block each.
+TABLE_SPECS = (dist.gumbel(0.0, 1.0), dist.gamma(2.0), dist.weibull(1.0), dist.frechet(2.0), dist.pareto(2.0))
 
 
 def tolerance_for(spec: PerturbationSpec) -> float:
@@ -115,20 +109,14 @@ def tolerance_for(spec: PerturbationSpec) -> float:
     return 0.10 if spec.kind == dist.GAMMA else 0.05
 
 
-def verify_table1(
-    K_list,
-    n_blocks: int,
-    rng: np.random.Generator,
-    specs: list[PerturbationSpec] | None = None,
-) -> list[BlockMaxReport]:
+def verify_table1(K_list, n_blocks: int, rng: np.random.Generator) -> list[BlockMaxReport]:
     """Monte-Carlo block maxima against the asymptotic table for every
     (distribution, K) pair; a row passes when |mc - asymptotic| is within
     max(tolerance * |asymptotic|, 3 * stderr)."""
     if not K_list:
         raise ValueError("K_list must be nonempty")
-    specs = specs if specs is not None else default_table_specs()
     reports = []
-    for spec in specs:
+    for spec in TABLE_SPECS:
         tol = tolerance_for(spec)
         for K in K_list:
             est, se = mc_expected_block_max(spec, K, n_blocks, rng)

@@ -8,6 +8,7 @@ policies see the same instance means and the same reward table.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
 import numbers
@@ -27,9 +28,20 @@ from .stochastic import BanditInstance, PolicyConfig, run_episode
 
 DEFAULT_CHECKPOINTS = (100, 1000, 5000, 10000)
 
-MODES = ("stochastic", "adversarial", "evt", "theory")
+# The config fields each mode reads, besides "mode" and "seed".
+MODES = {
+    "stochastic": ("K", "T", "episodes", "reward_model", "checkpoints", "policies"),
+    "adversarial": ("K", "T", "episodes", "adversary", "checkpoints", "potentials"),
+    "evt": ("K_list", "n_blocks"),
+    "theory": (),
+}
 
-ADVERSARIES = ("single_best_arm", "constant", "iid")
+# Each oblivious adversary: its T x K reward matrix from (T, K, seed sequence).
+ADVERSARIES = {
+    "single_best_arm": lambda T, K, seed: adv.make_single_best_arm_rewards(T, K),
+    "constant": lambda T, K, seed: adv.make_constant_rewards(T, K),
+    "iid": adv.make_iid_rewards,
+}
 
 # Each perturbation a config may name: its factory, and the config key of the
 # factory's one parameter (None if it takes none).  An absent key leaves the
@@ -105,7 +117,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ValueError(f"mode must be one of {list(MODES)}, got {self.mode!r}")
         for name in ("seed", "K", "T", "episodes", "n_blocks"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -116,7 +128,7 @@ class ExperimentConfig:
             raise ValueError("seed must be a nonnegative integer")
         RewardModel(self.reward_model)  # raises on an unknown reward model
         if self.adversary not in ADVERSARIES:
-            raise ValueError(f"unknown adversary: {self.adversary!r}; expected one of {ADVERSARIES}")
+            raise ValueError(f"unknown adversary: {self.adversary!r}; expected one of {list(ADVERSARIES)}")
         if self.mode in ("stochastic", "adversarial"):
             if self.episodes < 1:
                 raise ValueError("episodes must be >= 1")
@@ -130,6 +142,11 @@ class ExperimentConfig:
             cps = self.effective_checkpoints()
             if not cps:
                 raise ValueError("no checkpoint lies within the horizon")
+        if self.mode == "evt":
+            if not self.K_list or min(self.K_list) < 2:
+                raise ValueError(f"K_list must be a nonempty list of block sizes >= 2, got {list(self.K_list)}")
+            if self.n_blocks < 100:
+                raise ValueError(f"n_blocks must be >= 100, got {self.n_blocks}")
 
     def effective_checkpoints(self) -> tuple[int, ...]:
         cps = sorted(t for t in set(self.checkpoints) if 1 <= t <= self.T)
@@ -149,8 +166,9 @@ def _is_int(value) -> bool:
 
 
 def _number(value, name: str):
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+    # JSON reads 1e999 as infinity, and NaN fails every comparison.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     return value
 
 
@@ -225,10 +243,17 @@ def load_config(path) -> ExperimentConfig:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ValueError(f"a config must be a JSON object, got {raw!r}")
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    mode = raw.get("mode")
+    if not isinstance(mode, str) or mode not in MODES:
+        raise ValueError(f"mode must be one of {list(MODES)}, got {mode!r}")
+    if "seed" not in raw:
+        raise ValueError('a config needs a "seed"')
+    unread = set(raw) - {"mode", "seed", *MODES[mode]}
+    if unread:
+        raise ValueError(f"{mode} configs do not read {sorted(unread)}")
     raw = dict(raw)
     for key in ("checkpoints", "policies", "potentials", "K_list"):
         if key in raw:
@@ -315,7 +340,6 @@ def _stochastic_episode(config: ExperimentConfig, policies, checkpoints, episode
     instance = BanditInstance(
         means=means, reward_model=RewardModel(config.reward_model), horizon=config.T
     )
-    idx = np.asarray(checkpoints) - 1
     out = np.empty((len(policies), len(checkpoints)))
     for i, (policy, _) in enumerate(policies):
         trace = run_episode(
@@ -324,18 +348,13 @@ def _stochastic_episode(config: ExperimentConfig, policies, checkpoints, episode
             reward_rng=np.random.default_rng(children[1]),
             policy_rng=np.random.default_rng(children[2 + i]),
         )
-        out[i] = trace.cumulative[idx]
+        out[i] = [trace.regret(t) for t in checkpoints]
     return out
 
 
 def _adversarial_episode(config: ExperimentConfig, potentials, checkpoints, episode: int) -> np.ndarray:
     children = np.random.SeedSequence([config.seed, episode]).spawn(2 + len(potentials))
-    if config.adversary == "single_best_arm":
-        rewards = adv.make_single_best_arm_rewards(config.T, config.K)
-    elif config.adversary == "constant":
-        rewards = adv.make_constant_rewards(config.T, config.K)
-    else:
-        rewards = adv.make_iid_rewards(config.T, config.K, children[1])
+    rewards = ADVERSARIES[config.adversary](config.T, config.K, children[1])
     out = np.empty((len(potentials), len(checkpoints)))
     for i, (potential, _) in enumerate(potentials):
         _, state = run_gbpa(rewards, potential, np.random.default_rng(children[2 + i]))
@@ -418,40 +437,20 @@ def grid_search(config: ExperimentConfig, threads: int = 1) -> GridSearchResult:
 # ---------------------------------------------------------------------------
 
 
-def _csv_field(text: str) -> str:
-    if any(ch in text for ch in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def emit_csv(result: AggregateResult, path) -> None:
     """Write the aggregate as CSV with full-precision floats."""
     if not result.rows:
         raise ValueError("refusing to write an empty result")
-    lines = [CSV_HEADER]
-    for r in result.rows:
-        lines.append(
-            ",".join(
-                [
-                    _csv_field(r.policy),
-                    _csv_field(r.param),
-                    str(r.t),
-                    repr(r.mean_avg_regret),
-                    repr(r.stderr),
-                    str(r.episodes),
-                    str(r.seed),
-                ]
-            )
-        )
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
+        for r in result.rows:
+            writer.writerow([r.policy, r.param, r.t, repr(r.mean_avg_regret), repr(r.stderr), r.episodes, r.seed])
 
 
 def parse_csv(path) -> AggregateResult:
-    import csv as _csv
-
     with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         header = next(reader)
         if ",".join(header) != CSV_HEADER:
             raise ValueError(f"unexpected CSV header in {path}: {header}")
@@ -537,14 +536,12 @@ def emit_svg_lineplot(result: AggregateResult, path, width: int = 800, height: i
 def run_evt_mode(config: ExperimentConfig, out_csv) -> list[extremes.BlockMaxReport]:
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     reports = extremes.verify_table1(list(config.K_list), config.n_blocks, rng)
-    if out_csv is not None:
-        extremes.reports_to_csv(reports, out_csv)
+    extremes.reports_to_csv(reports, out_csv)
     return reports
 
 
 def run_theory_mode(config: ExperimentConfig, out_txt):
     rows = run_theory_checks(seed=config.seed)
-    if out_txt is not None:
-        with open(out_txt, "w") as fh:
-            fh.write(rows_to_text(rows))
+    with open(out_txt, "w") as fh:
+        fh.write(rows_to_text(rows))
     return rows

@@ -90,16 +90,22 @@ class PolicyConfig:
 
 @dataclass(frozen=True)
 class RegretTrace:
-    """Cumulative pseudo-regret per round for one episode."""
+    """The arms one episode played, and the pseudo-regret they add up to."""
 
-    horizon: int
-    cumulative: np.ndarray
-    final_counts: np.ndarray
+    gaps: np.ndarray
     arms: np.ndarray
+
+    def regret(self, t: int) -> float:
+        """Pseudo-regret after the first ``t`` rounds: sum_i gap_i * T_i(t)."""
+        return float(self.gaps.dot(np.bincount(self.arms[:t], minlength=self.gaps.size)))
 
     @property
     def final(self) -> float:
-        return float(self.cumulative[-1])
+        return self.regret(self.arms.size)
+
+    @property
+    def final_counts(self) -> np.ndarray:
+        return np.bincount(self.arms, minlength=self.gaps.size)
 
 
 def _argmax_random_ties(values: np.ndarray, rng: np.random.Generator) -> int:
@@ -116,6 +122,11 @@ def _argmax_random_ties(values: np.ndarray, rng: np.random.Generator) -> int:
         ties = np.flatnonzero(values == values[best])
         best = int(ties[rng.integers(ties.size)])
     return best
+
+
+def _width_sq(kind: str, horizon: int, epsilon: float) -> float:
+    """The squared exploration width: 2 log T for UCB1, (2 + eps) log T for RCB."""
+    return ((2.0 + epsilon) if kind == FTPL_BOUNDED else 2.0) * math.log(horizon)
 
 
 def _scale(kind: str, pulls, width_sq: float):
@@ -152,8 +163,8 @@ def select_ucb1(state: LearnerState, horizon: int) -> int:
     unpulled arms come first (lowest index among them)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    width_sq = 2.0 * math.log(horizon)
-    return int(_index(UCB1, state.means_hat, _scales(UCB1, state.counts, width_sq), None).argmax())
+    scale = _scales(UCB1, state.counts, _width_sq(UCB1, horizon, 0.0))
+    return int(_index(UCB1, state.means_hat, scale, None).argmax())
 
 
 def select_thompson_gaussian(state: LearnerState, rng: np.random.Generator) -> int:
@@ -187,7 +198,7 @@ def select_ftpl_bounded(
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
     z = dist.sample_array(spec, rng, state.num_arms)
-    scale = _scales(FTPL_BOUNDED, state.counts, (2.0 + epsilon) * math.log(horizon))
+    scale = _scales(FTPL_BOUNDED, state.counts, _width_sq(FTPL_BOUNDED, horizon, epsilon))
     theta = _index(FTPL_BOUNDED, state.means_hat, scale, z)
     return _argmax_random_ties(theta, rng)
 
@@ -220,7 +231,7 @@ def theta_support_intervals(
     if horizon is None:
         kind, width_sq = FTPL_UNBOUNDED, 0.0
     else:
-        kind, width_sq = FTPL_BOUNDED, (2.0 + epsilon) * math.log(horizon)
+        kind, width_sq = FTPL_BOUNDED, _width_sq(FTPL_BOUNDED, horizon, epsilon)
     scale = _scales(kind, state.counts, width_sq)
     return _index(kind, state.means_hat, scale, -1.0), _index(kind, state.means_hat, scale, 1.0)
 
@@ -237,52 +248,37 @@ def make_lower_bound_instance(K: int, T: int, q: float) -> BanditInstance:
     return BanditInstance(means=means, reward_model=RewardModel(dist.POINT), horizon=T)
 
 
-def _perturbation_rows(spec: PerturbationSpec, rng: np.random.Generator, num_arms: int, block: int = 1024):
-    """Yields K-vectors of perturbations from batched draws.
+def _perturbation_rows(spec: PerturbationSpec, rng: np.random.Generator, num_arms: int):
+    """Yields K-vectors of perturbations from draws of 1,024 rows at a time.
 
     Batching only changes how often the generator is called, not the value
     stream: numpy generators fill arrays from the same sequential draws.
     """
     while True:
-        yield from dist.sample_array(spec, rng, (block, num_arms))
+        yield from dist.sample_array(spec, rng, (1024, num_arms))
 
 
 def run_episode(
     instance: BanditInstance,
     policy: PolicyConfig,
-    seed: int | None = None,
     *,
-    reward_rng: np.random.Generator | None = None,
-    policy_rng: np.random.Generator | None = None,
+    reward_rng: np.random.Generator,
+    policy_rng: np.random.Generator,
 ) -> RegretTrace:
-    """Simulate one episode and trace cumulative pseudo-regret.
+    """Simulate one episode and return the arms it played.
 
     Rewards are pre-drawn per (arm, pull-count) pair so that different policies
     run with the same ``reward_rng`` seed see identical reward realizations.
-    The trace at round t is the dot product of gaps and pull counts, so the
-    final value equals sum_i gap_i * T_i(T) by construction and the trace is
-    nondecreasing.
     """
-    if reward_rng is None or policy_rng is None:
-        if seed is None:
-            raise ValueError("pass a seed, or both reward_rng and policy_rng")
-        child_reward, child_policy = np.random.SeedSequence(seed).spawn(2)
-        reward_rng = reward_rng or np.random.default_rng(child_reward)
-        policy_rng = policy_rng or np.random.default_rng(child_policy)
-
     T = instance.horizon
     K = instance.num_arms
-    gaps = instance.gaps()
     rewards = instance.reward_model.sample_table(instance.means, T, reward_rng)
 
     state = LearnerState.fresh(K)
-    pulls = np.zeros(K)
-    cumulative = np.empty(T)
     arms = np.empty(T, dtype=np.int64)
 
     kind = policy.kind
-    log_t = math.log(T) if T > 1 else 0.0
-    width_sq = (2.0 + policy.epsilon) * log_t if kind == FTPL_BOUNDED else 2.0 * log_t
+    width_sq = _width_sq(kind, T, policy.epsilon)
     scale = _scales(kind, state.counts, width_sq)
     if kind == UCB1:
         rows = itertools.repeat(None)
@@ -290,15 +286,13 @@ def run_episode(
         rows = _perturbation_rows(dist.gaussian(1.0) if kind == THOMPSON else policy.spec, policy_rng, K)
 
     # Only the played arm's mean and scale change in a round, so the scale is
-    # updated in place; the pulls are kept as floats for the regret dot product.
+    # updated in place.
     for t, z in zip(range(T), rows):
         theta = _index(kind, state.means_hat, scale, z)
         arm = int(theta.argmax()) if kind == UCB1 else _argmax_random_ties(theta, policy_rng)
         n = int(state.counts[arm])
         update(state, arm, rewards[n, arm])
         scale[arm] = _scale(kind, n + 1.0, width_sq)
-        pulls[arm] = n + 1
         arms[t] = arm
-        cumulative[t] = gaps.dot(pulls)
 
-    return RegretTrace(horizon=T, cumulative=cumulative, final_counts=state.counts, arms=arms)
+    return RegretTrace(gaps=instance.gaps(), arms=arms)

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import hypothesis
 import numpy as np
@@ -203,23 +202,39 @@ class TestFloorProbabilities:
 
 
 class TestIpw:
+    """run_gbpa's update in its first round, where every potential is uniform:
+    the played arm's reward over its probability, zero elsewhere."""
+
+    REWARDS = np.array([[0.3, 0.8, 0.5]])
+    POTENTIAL = adv.PotentialSpec("shannon", eta=2.0)
+
+    def one_round(self, seed, rewards=REWARDS):
+        _, state = adv.run_gbpa(rewards, self.POTENTIAL, seed)
+        return int(state.arms[0]), state.g_hat_cum
+
     def test_definition(self):
-        out = adv.ipw_estimate(0.8, 1, np.array([0.5, 0.4, 0.1]))
-        np.testing.assert_allclose(out, [0.0, 2.0, 0.0])
+        p = adv.choice_prob_shannon(np.zeros(3), self.POTENTIAL.eta)
+        for seed in range(10):
+            arm, g_hat = self.one_round(seed)
+            expected = np.zeros(3)
+            expected[arm] = self.REWARDS[0, arm] / p[arm]
+            np.testing.assert_array_equal(g_hat, expected)
 
     def test_zero_reward(self):
-        np.testing.assert_array_equal(adv.ipw_estimate(0.0, 0, np.array([0.5, 0.5])), 0.0)
+        for seed in range(5):
+            np.testing.assert_array_equal(self.one_round(seed, np.zeros((1, 3)))[1], 0.0)
 
-    def test_unbiasedness_exact_for_rationals(self):
-        p = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
-        g = [Fraction(3, 4), Fraction(1, 2), Fraction(1, 4)]
-        for i in range(3):
-            total = sum(p[a] * (g[a] / p[a] if a == i else 0) for a in range(3))
-            assert total == g[i]
-
-    def test_zero_probability_rejected(self):
-        with pytest.raises(ValueError):
-            adv.ipw_estimate(0.5, 0, np.array([0.0, 1.0]))
+    def test_one_round_estimate_is_unbiased(self):
+        # Weighting the estimate after each arm by that arm's probability
+        # recovers the whole reward vector.
+        p = adv.choice_prob_shannon(np.zeros(3), self.POTENTIAL.eta)
+        after = {}
+        for seed in range(50):
+            arm, g_hat = self.one_round(seed)
+            after[arm] = g_hat
+        assert sorted(after) == [0, 1, 2]
+        mean = sum(p[arm] * g_hat for arm, g_hat in after.items())
+        np.testing.assert_allclose(mean, self.REWARDS[0], rtol=1e-15)
 
 
 class TestTuneEta:
@@ -254,7 +269,7 @@ class TestRunGbpa:
     def test_state_accounting(self):
         rewards = adv.make_iid_rewards(200, 3, seed=0)
         _, state = adv.run_gbpa(rewards, adv.PotentialSpec("shannon", eta=5.0), seed=1)
-        assert state.t == 200
+        assert state.arms.size == 200
         realized = rewards[np.arange(200), state.arms].sum()
         assert state.realized_reward == pytest.approx(realized)
 

@@ -30,9 +30,16 @@ ADV_CONFIG = {
 
 
 def write_config(tmp_path, raw, name="config.json"):
+    """Write ``raw`` as JSON, or as it is if it is already JSON text."""
     path = tmp_path / name
-    path.write_text(json.dumps(raw))
+    path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
     return path
+
+
+def with_1e999(raw):
+    """``raw`` as JSON text with every "1e999" string written as the number
+    1e999, which JSON reads as infinity."""
+    return json.dumps(raw).replace('"1e999"', "1e999")
 
 
 class TestParser:
@@ -243,6 +250,29 @@ class TestErrorHandling:
                 [],
                 id="rcb-gaussian",
             ),
+            pytest.param(
+                "stochastic",
+                with_1e999(dict(STOCH_CONFIG, policies=[{"kind": "ftpl", "sigma": "1e999"}])),
+                [],
+                id="infinite-sigma",
+            ),
+            pytest.param(
+                "adversarial",
+                with_1e999(dict(ADV_CONFIG, potentials=[{"kind": "shannon", "eta": "1e999"}])),
+                [],
+                id="infinite-eta",
+            ),
+            pytest.param("stochastic", dict(STOCH_CONFIG, potentials=[{"kind": "bogus"}]), [], id="stochastic-potentials"),
+            pytest.param("stochastic", dict(STOCH_CONFIG, adversary="iid"), [], id="stochastic-adversary"),
+            pytest.param("stochastic", dict(STOCH_CONFIG, K_list=[100]), [], id="stochastic-K_list"),
+            pytest.param("adversarial", dict(ADV_CONFIG, policies=[{"kind": "ucb1"}]), [], id="adversarial-policies"),
+            pytest.param("adversarial", dict(ADV_CONFIG, reward_model="gaussian_shift"), [], id="adversarial-reward-model"),
+            pytest.param("evt-table", dict(EVT_CONFIG, episodes=0), [], id="evt-episodes"),
+            pytest.param("evt-table", dict(EVT_CONFIG, K_list=[]), [], id="evt-empty-K_list"),
+            pytest.param("evt-table", dict(EVT_CONFIG, K_list=[1]), [], id="evt-K-1"),
+            pytest.param("evt-table", dict(EVT_CONFIG, n_blocks=99), [], id="evt-n_blocks-99"),
+            pytest.param("theory-check", {"mode": "theory"}, [], id="no-seed"),
+            pytest.param("stochastic", {k: v for k, v in STOCH_CONFIG.items() if k != "mode"}, [], id="no-mode"),
             pytest.param("stochastic", STOCH_CONFIG, ["--threads", "0"], id="threads-0"),
             pytest.param("stochastic", STOCH_CONFIG, ["--threads", "-3"], id="threads-negative"),
         ],

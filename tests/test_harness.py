@@ -160,7 +160,7 @@ class TestRunExperiment:
             reward_rng=np.random.default_rng(children[1]),
             policy_rng=np.random.default_rng(children[2]),
         )
-        expected = [trace.cumulative[99] / 100, trace.cumulative[499] / 500]
+        expected = [trace.regret(100) / 100, trace.regret(500) / 500]
         assert [row.mean_avg_regret for row in result.rows] == pytest.approx(expected)
         assert all(row.stderr == 0.0 for row in result.rows)
 

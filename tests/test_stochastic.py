@@ -18,6 +18,14 @@ def two_arm_state(means_hat, counts):
     )
 
 
+def seeded_episode(instance, policy, seed):
+    """run_episode with reward and policy generators spawned from one seed."""
+    reward_ss, policy_ss = np.random.SeedSequence(seed).spawn(2)
+    return st.run_episode(
+        instance, policy, reward_rng=np.random.default_rng(reward_ss), policy_rng=np.random.default_rng(policy_ss)
+    )
+
+
 class TestInstances:
     def test_gaps(self):
         inst = st.BanditInstance(
@@ -196,10 +204,10 @@ class TestRunEpisode:
     def test_reproducible(self):
         inst = self.make_instance([0.8, 0.4, 0.1])
         pol = st.PolicyConfig("ftpl", spec=dist.gaussian(1.0))
-        a = st.run_episode(inst, pol, seed=9)
-        b = st.run_episode(inst, pol, seed=9)
-        np.testing.assert_array_equal(a.cumulative, b.cumulative)
+        a = seeded_episode(inst, pol, 9)
+        b = seeded_episode(inst, pol, 9)
         np.testing.assert_array_equal(a.arms, b.arms)
+        assert a.final == b.final
 
     def test_regret_decomposition_exact(self):
         inst = self.make_instance([0.8, 0.4, 0.1])
@@ -209,7 +217,7 @@ class TestRunEpisode:
             ("ftpl", dist.gaussian(1.0)),
             ("rcb", dist.uniform()),
         ]:
-            trace = st.run_episode(inst, st.PolicyConfig(kind, spec=spec), seed=3)
+            trace = seeded_episode(inst, st.PolicyConfig(kind, spec=spec), 3)
             assert trace.final == float(np.dot(inst.gaps(), trace.final_counts))
             assert np.sum(trace.final_counts) == inst.horizon
 
@@ -232,7 +240,7 @@ class TestRunEpisode:
     )
     def test_final_regret_is_gaps_dot_counts(self, policy, means, horizon, model, seed):
         inst = self.make_instance(means, horizon=horizon, model=model)
-        trace = st.run_episode(inst, policy, seed=seed)
+        trace = seeded_episode(inst, policy, seed)
         assert trace.final == float(np.dot(inst.gaps(), trace.final_counts))
         assert np.sum(trace.final_counts) == horizon
 
@@ -260,6 +268,8 @@ class TestRunEpisode:
         rewards = inst.reward_model.sample_table(inst.means, inst.horizon, np.random.default_rng(children[0]))
         rng = np.random.default_rng(children[1])
         state = st.LearnerState.fresh(inst.num_arms)
+        gaps = inst.gaps()
+        assert trace.regret(0) == 0.0
         for t in range(inst.horizon):
             if policy.kind == "ucb1":
                 arm = st.select_ucb1(state, inst.horizon)
@@ -271,12 +281,14 @@ class TestRunEpisode:
                 arm = st.select_ftpl_bounded(state, policy.spec, inst.horizon, policy.epsilon, rng)
             assert arm == trace.arms[t]
             st.update(state, arm, rewards[state.counts[arm], arm])
+            assert trace.regret(t + 1) == float(gaps.dot(state.counts))
         np.testing.assert_array_equal(state.counts, trace.final_counts)
 
     def test_trace_nondecreasing(self):
         inst = self.make_instance([0.8, 0.4, 0.1])
-        trace = st.run_episode(inst, st.PolicyConfig("thompson"), seed=4)
-        assert np.all(np.diff(trace.cumulative) >= 0.0)
+        trace = seeded_episode(inst, st.PolicyConfig("thompson"), 4)
+        regret = [trace.regret(t) for t in range(inst.horizon + 1)]
+        assert np.all(np.diff(regret) >= 0.0)
 
     def test_reward_stream_coupled_across_policies(self):
         inst = self.make_instance([0.8, 0.4])
@@ -303,7 +315,7 @@ class TestRunEpisode:
 
     def test_point_rewards_single_good_arm(self):
         inst = st.make_lower_bound_instance(4, 400, 2.0)
-        trace = st.run_episode(inst, st.PolicyConfig("ucb1"), seed=0)
+        trace = seeded_episode(inst, st.PolicyConfig("ucb1"), 0)
         delta = inst.means[0]
         assert trace.final == pytest.approx(
             delta * (inst.horizon - trace.final_counts[0]), abs=1e-9
@@ -331,6 +343,6 @@ class TestRunEpisode:
         pol = st.PolicyConfig("ftpl", spec=dist.gaussian(1.0))
         finals = np.zeros(2)
         for s in range(40):
-            trace = st.run_episode(inst, pol, seed=s)
-            finals += np.array([trace.cumulative[199] / 200, trace.cumulative[-1] / 2000])
+            trace = seeded_episode(inst, pol, s)
+            finals += np.array([trace.regret(200) / 200, trace.final / 2000])
         assert finals[1] < finals[0]
