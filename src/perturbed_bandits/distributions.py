@@ -253,7 +253,7 @@ def pdf(spec: PerturbationSpec, x):
 
 
 def quantile(spec: PerturbationSpec, u):
-    """Inverse CDF on the open unit interval."""
+    """Inverse CDF on (0, 1); the Gumbel and Frechet tails below u ~ 1e-8 lose digits to log1p(u - 1)."""
     u_arr = np.asarray(u, dtype=float)
     if np.any((u_arr <= 0.0) | (u_arr >= 1.0)):
         raise ValueError("quantile argument must lie in the open interval (0, 1)")

@@ -202,8 +202,9 @@ class TestFloorProbabilities:
 
 
 class TestIpw:
-    """run_gbpa's update in its first round, where every potential is uniform:
-    the played arm's reward over its probability, zero elsewhere."""
+    """run_gbpa's update in its first round, where the estimate is zero and the
+    Shannon probabilities are uniform: the played arm's reward over its
+    probability, zero elsewhere."""
 
     REWARDS = np.array([[0.3, 0.8, 0.5]])
     POTENTIAL = adv.PotentialSpec("shannon", eta=2.0)

@@ -262,11 +262,15 @@ class TestErrorHandling:
                 [],
                 id="infinite-eta",
             ),
-            pytest.param("stochastic", dict(STOCH_CONFIG, potentials=[{"kind": "bogus"}]), [], id="stochastic-potentials"),
+            pytest.param(
+                "stochastic", dict(STOCH_CONFIG, potentials=[{"kind": "bogus"}]), [], id="stochastic-potentials"
+            ),
             pytest.param("stochastic", dict(STOCH_CONFIG, adversary="iid"), [], id="stochastic-adversary"),
             pytest.param("stochastic", dict(STOCH_CONFIG, K_list=[100]), [], id="stochastic-K_list"),
             pytest.param("adversarial", dict(ADV_CONFIG, policies=[{"kind": "ucb1"}]), [], id="adversarial-policies"),
-            pytest.param("adversarial", dict(ADV_CONFIG, reward_model="gaussian_shift"), [], id="adversarial-reward-model"),
+            pytest.param(
+                "adversarial", dict(ADV_CONFIG, reward_model="gaussian_shift"), [], id="adversarial-reward-model"
+            ),
             pytest.param("evt-table", dict(EVT_CONFIG, episodes=0), [], id="evt-episodes"),
             pytest.param("evt-table", dict(EVT_CONFIG, K_list=[]), [], id="evt-empty-K_list"),
             pytest.param("evt-table", dict(EVT_CONFIG, K_list=[1]), [], id="evt-K-1"),
