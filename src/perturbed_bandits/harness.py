@@ -24,7 +24,7 @@ from . import extremes
 from .adversarial import PotentialSpec, run_gbpa, regret_at_checkpoints, tune_eta
 from .choice_theory import run_theory_checks, rows_to_text
 from .distributions import RewardModel
-from .stochastic import BanditInstance, PolicyConfig, run_episode
+from .stochastic import BanditInstance, PolicyConfig, RegretTrace, play
 
 DEFAULT_CHECKPOINTS = (100, 1000, 5000, 10000)
 
@@ -334,32 +334,31 @@ def _aggregate(
 # ---------------------------------------------------------------------------
 
 
-def _stochastic_episode(config: ExperimentConfig, policies, checkpoints, episode: int) -> np.ndarray:
-    children = np.random.SeedSequence([config.seed, episode]).spawn(2 + len(policies))
-    means = np.random.default_rng(children[0]).random(config.K)
-    instance = BanditInstance(
-        means=means, reward_model=RewardModel(config.reward_model), horizon=config.T
-    )
-    out = np.empty((len(policies), len(checkpoints)))
-    for i, (policy, _) in enumerate(policies):
-        trace = run_episode(
-            instance,
-            policy,
-            reward_rng=np.random.default_rng(children[1]),
-            policy_rng=np.random.default_rng(children[2 + i]),
-        )
-        out[i] = [trace.regret(t) for t in checkpoints]
-    return out
+def _episode(config: ExperimentConfig, grid, checkpoints, episode: int) -> np.ndarray:
+    """The regret of every grid point at every checkpoint in one episode.
 
+    The seeding rule: SeedSequence([seed, episode]) spawns 2 + len(grid)
+    children.  Child 0 draws the instance means, child 1 the reward table,
+    which is drawn once and played by every grid point, and child 2 + i is
+    grid point i's generator.
+    """
+    children = np.random.SeedSequence([config.seed, episode]).spawn(2 + len(grid))
+    if config.mode == "stochastic":
+        means = np.random.default_rng(children[0]).random(config.K)
+        instance = BanditInstance(means=means, reward_model=RewardModel(config.reward_model), horizon=config.T)
+        rewards = instance.reward_model.sample_table(means, config.T, np.random.default_rng(children[1]))
 
-def _adversarial_episode(config: ExperimentConfig, potentials, checkpoints, episode: int) -> np.ndarray:
-    children = np.random.SeedSequence([config.seed, episode]).spawn(2 + len(potentials))
-    rewards = ADVERSARIES[config.adversary](config.T, config.K, children[1])
-    out = np.empty((len(potentials), len(checkpoints)))
-    for i, (potential, _) in enumerate(potentials):
-        _, state = run_gbpa(rewards, potential, np.random.default_rng(children[2 + i]))
-        out[i] = regret_at_checkpoints(rewards, state.arms, checkpoints)
-    return out
+        def regret(policy, rng):
+            trace = RegretTrace(gaps=instance.gaps(), arms=play(rewards, policy, rng))
+            return [trace.regret(t) for t in checkpoints]
+
+    else:
+        rewards = ADVERSARIES[config.adversary](config.T, config.K, children[1])
+
+        def regret(potential, rng):
+            return regret_at_checkpoints(rewards, run_gbpa(rewards, potential, rng)[1].arms, checkpoints)
+
+    return np.array([regret(obj, np.random.default_rng(child)) for (obj, _), child in zip(grid, children[2:])])
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> AggregateResult:
@@ -369,15 +368,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> AggregateResul
     compatibility and has no effect: episode threads only contended for the
     interpreter lock and measured slower than one thread.
     """
-    checkpoints = config.effective_checkpoints()
-    if config.mode == "stochastic":
-        episode = _stochastic_episode
-    elif config.mode == "adversarial":
-        episode = _adversarial_episode
-    else:
+    if config.mode not in ("stochastic", "adversarial"):
         raise ValueError(f"run_experiment does not handle mode {config.mode!r}")
+    checkpoints = config.effective_checkpoints()
     grid = config.grid()
-    per_episode = [episode(config, grid, checkpoints, e) for e in range(config.episodes)]
+    per_episode = [_episode(config, grid, checkpoints, e) for e in range(config.episodes)]
     avg = np.stack(per_episode, axis=2) / np.asarray(checkpoints, dtype=float)[:, None]
     labels = [(cfg.label(), param) for cfg, param in grid]
     return _aggregate(labels, avg, checkpoints, config.episodes, config.seed)

@@ -258,22 +258,12 @@ def _perturbation_rows(spec: PerturbationSpec, rng: np.random.Generator, num_arm
         yield from dist.sample_array(spec, rng, (1024, num_arms))
 
 
-def run_episode(
-    instance: BanditInstance,
-    policy: PolicyConfig,
-    *,
-    reward_rng: np.random.Generator,
-    policy_rng: np.random.Generator,
-) -> RegretTrace:
-    """Simulate one episode and return the arms it played.
-
-    Rewards are pre-drawn per (arm, pull-count) pair so that different policies
-    run with the same ``reward_rng`` seed see identical reward realizations.
+def play(rewards: np.ndarray, policy: PolicyConfig, policy_rng: np.random.Generator) -> np.ndarray:
+    """Play one episode against a pre-drawn (T, K) reward table and return the
+    arms played.  Entry [n, i] is the reward of arm i's n-th pull, so policies
+    that play the same table see identical reward realizations.
     """
-    T = instance.horizon
-    K = instance.num_arms
-    rewards = instance.reward_model.sample_table(instance.means, T, reward_rng)
-
+    T, K = rewards.shape
     state = LearnerState.fresh(K)
     arms = np.empty(T, dtype=np.int64)
 
@@ -294,5 +284,17 @@ def run_episode(
         update(state, arm, rewards[n, arm])
         scale[arm] = _scale(kind, n + 1.0, width_sq)
         arms[t] = arm
+    return arms
 
-    return RegretTrace(gaps=instance.gaps(), arms=arms)
+
+def run_episode(
+    instance: BanditInstance,
+    policy: PolicyConfig,
+    *,
+    reward_rng: np.random.Generator,
+    policy_rng: np.random.Generator,
+) -> RegretTrace:
+    """Draw one episode's reward table from ``reward_rng``, ``play`` it, and
+    return the arms played."""
+    rewards = instance.reward_model.sample_table(instance.means, instance.horizon, reward_rng)
+    return RegretTrace(gaps=instance.gaps(), arms=play(rewards, policy, policy_rng))

@@ -146,23 +146,48 @@ class TestKindTables:
 
 
 class TestRunExperiment:
+    GRID = [
+        {"kind": "ucb1"},
+        {"kind": "rcb", "perturbation": "rademacher"},
+        {"kind": "ftpl", "perturbation": "gaussian"},
+    ]
+
     def test_single_episode_equals_trace(self):
-        cfg = small_stochastic_config(episodes=1, policies=[{"kind": "ucb1"}])
+        # Every grid point's series is run_episode's regret under the seeding
+        # rule: child 0 the means, child 1 the reward table, child 2 + i the
+        # generator of grid point i.
+        cfg = small_stochastic_config(episodes=1, policies=self.GRID)
         result = hz.run_experiment(cfg)
-        children = np.random.SeedSequence([cfg.seed, 0]).spawn(3)
+        children = np.random.SeedSequence([cfg.seed, 0]).spawn(2 + len(self.GRID))
         means = np.random.default_rng(children[0]).random(cfg.K)
         inst = st.BanditInstance(
             means=means, reward_model=dist.RewardModel(cfg.reward_model), horizon=cfg.T
         )
-        trace = st.run_episode(
-            inst,
-            st.PolicyConfig("ucb1"),
-            reward_rng=np.random.default_rng(children[1]),
-            policy_rng=np.random.default_rng(children[2]),
-        )
-        expected = [trace.regret(100) / 100, trace.regret(500) / 500]
-        assert [row.mean_avg_regret for row in result.rows] == pytest.approx(expected)
-        assert all(row.stderr == 0.0 for row in result.rows)
+        grid = cfg.grid()
+        series = result.series()
+        assert list(series) == [(policy.label(), param) for policy, param in grid]
+        for i, (policy, param) in enumerate(grid):
+            trace = st.run_episode(
+                inst,
+                policy,
+                reward_rng=np.random.default_rng(children[1]),
+                policy_rng=np.random.default_rng(children[2 + i]),
+            )
+            rows = series[(policy.label(), param)]
+            assert [row.mean_avg_regret for row in rows] == [trace.regret(100) / 100, trace.regret(500) / 500]
+            assert all(row.stderr == 0.0 for row in rows)
+
+    def test_reward_table_drawn_once_per_episode(self, monkeypatch):
+        calls = []
+        sample_table = dist.RewardModel.sample_table
+
+        def spy(self, means, n, rng):
+            calls.append(n)
+            return sample_table(self, means, n, rng)
+
+        monkeypatch.setattr(dist.RewardModel, "sample_table", spy)
+        hz.run_experiment(small_stochastic_config(episodes=3, policies=self.GRID))
+        assert calls == [500] * 3
 
     def test_deterministic_across_thread_counts(self):
         cfg = small_stochastic_config()
