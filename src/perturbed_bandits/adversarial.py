@@ -258,11 +258,12 @@ class PotentialSpec:
                 raise ValueError(f"mc_samples must be an integer >= 1, got {self.mc_samples!r}")
 
     def label(self) -> str:
+        """The potential without its learning rate, which is the grid parameter."""
         if self.kind == SHANNON:
-            return f"shannon(eta={self.eta:g})"
+            return SHANNON
         if self.kind == TSALLIS:
-            return f"tsallis(eta={self.eta:g},alpha={self.alpha:g})"
-        return f"ftpl[{self.spec.label()}](eta={self.eta:g})"
+            return f"tsallis(alpha={self.alpha:g})"
+        return f"ftpl[{self.spec.label()}]"
 
 
 @dataclass

@@ -257,6 +257,26 @@ class TestGridSearch:
         winner = search.best[0]
         assert finals[winner.best_param] == min(finals.values())
 
+    def test_adversarial_grid_compares_eta_values(self):
+        cfg = hz.config_from_dict(
+            {
+                "mode": "adversarial",
+                "seed": 3,
+                "K": 3,
+                "T": 300,
+                "episodes": 2,
+                "adversary": "iid",
+                "checkpoints": [300],
+                "potentials": [{"kind": "shannon", "eta": [2.0, 50.0]}],
+            }
+        )
+        search = hz.grid_search(cfg)
+        finals = {r.param: r.mean_avg_regret for r in search.all_results.final_rows()}
+        assert set(finals) == {"eta=2", "eta=50"}
+        [entry] = search.best
+        assert entry.policy == "shannon"
+        assert finals[entry.best_param] == min(finals.values())
+
     def test_ties_to_first_grid_point(self, monkeypatch):
         # an exact tie between two grid points: the first one wins and the
         # other is flagged as within-stderr
