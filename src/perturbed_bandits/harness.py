@@ -3,8 +3,9 @@ aggregated average-regret tables out as CSV and SVG.
 
 Determinism contract: every random stream is derived from
 SeedSequence([master_seed, episode_index]), never from execution order, so
-results are identical across reruns.  Within an episode all compared
-policies see the same instance means and the same reward table.
+results are identical across reruns.  Each episode draws its instance and its
+reward table once, and every compared policy or potential plays that one
+table (the seeding rule is stated in ``_episode``).
 """
 from __future__ import annotations
 
@@ -143,8 +144,8 @@ class ExperimentConfig:
             if not cps:
                 raise ValueError("no checkpoint lies within the horizon")
         if self.mode == "evt":
-            if not self.K_list or min(self.K_list) < 2:
-                raise ValueError(f"K_list must be a nonempty list of block sizes >= 2, got {list(self.K_list)}")
+            if not self.K_list or min(self.K_list) < 2 or len(set(self.K_list)) < len(self.K_list):
+                raise ValueError(f"K_list must be a nonempty list of distinct block sizes >= 2, got {list(self.K_list)}")
             if self.n_blocks < 100:
                 raise ValueError(f"n_blocks must be >= 100, got {self.n_blocks}")
 

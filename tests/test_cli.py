@@ -275,6 +275,7 @@ class TestErrorHandling:
             pytest.param("evt-table", dict(EVT_CONFIG, K_list=[]), [], id="evt-empty-K_list"),
             pytest.param("evt-table", dict(EVT_CONFIG, K_list=[1]), [], id="evt-K-1"),
             pytest.param("evt-table", dict(EVT_CONFIG, n_blocks=99), [], id="evt-n_blocks-99"),
+            pytest.param("evt-table", dict(EVT_CONFIG, K_list=[2, 2]), [], id="evt-duplicate-K"),
             pytest.param("theory-check", {"mode": "theory"}, [], id="no-seed"),
             pytest.param("stochastic", {k: v for k, v in STOCH_CONFIG.items() if k != "mode"}, [], id="no-mode"),
             pytest.param("stochastic", STOCH_CONFIG, ["--threads", "0"], id="threads-0"),
