@@ -157,9 +157,7 @@ class ExperimentConfig:
         """The (policy or potential, parameter label) points of the parameter grid."""
         if self.mode == "stochastic":
             return [pt for entry in self.policies for pt in expand_policy_entry(entry)]
-        if self.mode == "adversarial":
-            return [pt for entry in self.potentials for pt in expand_potential_entry(entry, self.K, self.T)]
-        return []
+        return [pt for entry in self.potentials for pt in expand_potential_entry(entry, self.K, self.T)]
 
 
 def _is_int(value) -> bool:
@@ -346,7 +344,9 @@ def _episode(config: ExperimentConfig, grid, checkpoints, episode: int) -> np.nd
     children = np.random.SeedSequence([config.seed, episode]).spawn(2 + len(grid))
     if config.mode == "stochastic":
         means = np.random.default_rng(children[0]).random(config.K)
-        instance = BanditInstance(means=means, reward_model=RewardModel(config.reward_model), horizon=config.T)
+        instance = BanditInstance(
+            means=means, reward_model=RewardModel(config.reward_model), horizon=config.T
+        )
         rewards = instance.reward_model.sample_table(means, config.T, np.random.default_rng(children[1]))
 
         def regret(policy, rng):

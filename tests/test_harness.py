@@ -326,7 +326,7 @@ class TestEmission:
         assert "t" in texts and "R(t)/t" in texts
 
     def test_param_with_comma_survives_roundtrip(self, tmp_path):
-        row = hz.ResultRow("tsallis(eta=1,alpha=0.5)", "eta=1", 10, 0.5, 0.1, 3, 7)
+        row = hz.ResultRow("ftpl[gumbel(0,1)]", "eta=1", 10, 0.5, 0.1, 3, 7)
         result = hz.AggregateResult(rows=(row,))
         path = tmp_path / "quoted.csv"
         hz.emit_csv(result, path)
