@@ -342,24 +342,18 @@ def _episode(config: ExperimentConfig, grid, checkpoints, episode: int) -> np.nd
     grid point i's generator.
     """
     children = np.random.SeedSequence([config.seed, episode]).spawn(2 + len(grid))
+    rngs = [np.random.default_rng(child) for child in children[2:]]
     if config.mode == "stochastic":
         means = np.random.default_rng(children[0]).random(config.K)
         instance = BanditInstance(
             means=means, reward_model=RewardModel(config.reward_model), horizon=config.T
         )
         rewards = instance.reward_model.sample_table(means, config.T, np.random.default_rng(children[1]))
-
-        def regret(policy, rng):
-            trace = RegretTrace(gaps=instance.gaps(), arms=play(rewards, policy, rng))
-            return [trace.regret(t) for t in checkpoints]
-
-    else:
-        rewards = ADVERSARIES[config.adversary](config.T, config.K, children[1])
-
-        def regret(potential, rng):
-            return regret_at_checkpoints(rewards, run_gbpa(rewards, potential, rng)[1].arms, checkpoints)
-
-    return np.array([regret(obj, np.random.default_rng(child)) for (obj, _), child in zip(grid, children[2:])])
+        traces = [RegretTrace(instance.gaps(), play(rewards, policy, rng)) for (policy, _), rng in zip(grid, rngs)]
+        return np.array([[trace.regret(t) for t in checkpoints] for trace in traces])
+    rewards = ADVERSARIES[config.adversary](config.T, config.K, children[1])
+    arms = [run_gbpa(rewards, potential, rng)[1].arms for (potential, _), rng in zip(grid, rngs)]
+    return np.array([regret_at_checkpoints(rewards, played, checkpoints) for played in arms])
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> AggregateResult:
