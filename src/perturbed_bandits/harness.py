@@ -25,7 +25,7 @@ from . import extremes
 from .adversarial import PotentialSpec, run_gbpa, regret_at_checkpoints, tune_eta
 from .choice_theory import run_theory_checks, rows_to_text
 from .distributions import RewardModel
-from .stochastic import BanditInstance, PolicyConfig, RegretTrace, play
+from .stochastic import BanditInstance, PolicyConfig, run_episode
 
 DEFAULT_CHECKPOINTS = (100, 1000, 5000, 10000)
 
@@ -329,31 +329,52 @@ def _aggregate(
 
 
 # ---------------------------------------------------------------------------
-# Stochastic experiments
+# Episodes
 # ---------------------------------------------------------------------------
+
+
+class _DrawnTable(NamedTuple):
+    """An episode's reward model once its table is drawn: every policy's
+    ``run_episode`` call plays this one table and ignores its reward_rng.
+    Each policy's episode thus stays one ``run_episode`` call, the unit that
+    ``benchmarks/tracing.py`` times per policy."""
+
+    table: np.ndarray
+
+    def sample_table(self, means, n, rng) -> np.ndarray:
+        return self.table
 
 
 def _episode(config: ExperimentConfig, grid, checkpoints, episode: int) -> np.ndarray:
     """The regret of every grid point at every checkpoint in one episode.
 
     The seeding rule: SeedSequence([seed, episode]) spawns 2 + len(grid)
-    children.  Child 0 draws the instance means, child 1 the reward table,
-    which is drawn once and played by every grid point, and child 2 + i is
-    grid point i's generator.
+    children.  Child 0 draws the stochastic instance means and is unused in
+    adversarial mode, child 1 draws the episode's one reward table, and
+    child 2 + i is grid point i's generator.
     """
     children = np.random.SeedSequence([config.seed, episode]).spawn(2 + len(grid))
-    rngs = [np.random.default_rng(child) for child in children[2:]]
-    if config.mode == "stochastic":
-        means = np.random.default_rng(children[0]).random(config.K)
-        instance = BanditInstance(
-            means=means, reward_model=RewardModel(config.reward_model), horizon=config.T
+    out = np.empty((len(grid), len(checkpoints)))
+    if config.mode == "adversarial":
+        rewards = ADVERSARIES[config.adversary](config.T, config.K, children[1])
+        for i, (potential, _) in enumerate(grid):
+            _, state = run_gbpa(rewards, potential, np.random.default_rng(children[2 + i]))
+            out[i] = regret_at_checkpoints(rewards, state.arms, checkpoints)
+        return out
+    means = np.random.default_rng(children[0]).random(config.K)
+    rewards = RewardModel(config.reward_model).sample_table(means, config.T, np.random.default_rng(children[1]))
+    instance = BanditInstance(
+        means=means, reward_model=_DrawnTable(rewards), horizon=config.T
+    )
+    for i, (policy, _) in enumerate(grid):
+        trace = run_episode(
+            instance,
+            policy,
+            reward_rng=None,
+            policy_rng=np.random.default_rng(children[2 + i]),
         )
-        rewards = instance.reward_model.sample_table(means, config.T, np.random.default_rng(children[1]))
-        traces = [RegretTrace(instance.gaps(), play(rewards, policy, rng)) for (policy, _), rng in zip(grid, rngs)]
-        return np.array([[trace.regret(t) for t in checkpoints] for trace in traces])
-    rewards = ADVERSARIES[config.adversary](config.T, config.K, children[1])
-    arms = [run_gbpa(rewards, potential, rng)[1].arms for (potential, _), rng in zip(grid, rngs)]
-    return np.array([regret_at_checkpoints(rewards, played, checkpoints) for played in arms])
+        out[i] = [trace.regret(t) for t in checkpoints]
+    return out
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> AggregateResult:
