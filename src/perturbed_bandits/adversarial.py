@@ -65,6 +65,12 @@ def choice_prob_shannon(G: np.ndarray, eta: float) -> np.ndarray:
     return w / w.sum()
 
 
+def _tsallis_log_terms(gap: np.ndarray, alpha: float) -> np.ndarray:
+    """log of the unnormalized Tsallis terms c gap^(1/(alpha-1)) at gap = lam - G_i;
+    the prefactor c = ((1-alpha)/alpha)^(1/(alpha-1)) overflows for alpha near 1."""
+    return 1.0 / (alpha - 1.0) * (math.log((1.0 - alpha) / alpha) + np.log(gap))
+
+
 def _tsallis_log_sum(nu: float, shifted: np.ndarray, alpha: float) -> tuple[float, float]:
     """log S(nu) and its nu-derivative, where S is the normalization sum.
 
@@ -73,7 +79,7 @@ def _tsallis_log_sum(nu: float, shifted: np.ndarray, alpha: float) -> tuple[floa
     """
     e = 1.0 / (alpha - 1.0)
     gap = nu - shifted
-    log_terms = e * (math.log((1.0 - alpha) / alpha) + np.log(gap))
+    log_terms = _tsallis_log_terms(gap, alpha)
     top = float(log_terms.max())
     w = np.exp(log_terms - top)
     total = float(w.sum())
@@ -130,28 +136,29 @@ def _tsallis_probabilities(
     """Tsallis choice probabilities at unit learning rate and the solved nu.
 
     ``shifted`` is G - max(G) (all <= 0), so lam - G_i = nu - shifted_i is
-    computed without cancellation even when G is large.  The terms
-    c (nu - shifted_i)^(1/(alpha-1)) are assembled in log space because the
-    prefactor c = ((1-alpha)/alpha)^(1/(alpha-1)) overflows for alpha near 1.
+    computed without cancellation even when G is large.
     """
     nu = _solve_tsallis_nu(shifted, alpha, nu0)
-    e = 1.0 / (alpha - 1.0)
-    log_c = e * math.log((1.0 - alpha) / alpha)
     with np.errstate(over="ignore"):
-        p = np.exp(log_c + e * np.log(nu - shifted))
+        p = np.exp(_tsallis_log_terms(nu - shifted, alpha))
     return p / p.sum(), nu
 
 
-def solve_tsallis_lambda(G: np.ndarray, alpha: float) -> float:
-    """The unique lam > max(G) normalizing the Tsallis choice probabilities
-    to residual <= 1e-12."""
+def _tsallis_shifted(G: np.ndarray, alpha: float) -> np.ndarray:
+    """G - max(G), after checking that G is finite and alpha lies in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     G = np.asarray(G, dtype=float)
     if not np.all(np.isfinite(G)):
         raise ValueError("G must be finite")
-    top = float(G.max())
-    return top + _solve_tsallis_nu(G - top, alpha)
+    return G - G.max()
+
+
+def solve_tsallis_lambda(G: np.ndarray, alpha: float) -> float:
+    """The unique lam > max(G) normalizing the Tsallis choice probabilities
+    to residual <= 1e-12."""
+    shifted = _tsallis_shifted(G, alpha)
+    return float(np.max(G)) + _solve_tsallis_nu(shifted, alpha)
 
 
 def choice_prob_tsallis(G: np.ndarray, eta: float, alpha: float) -> np.ndarray:
@@ -162,8 +169,8 @@ def choice_prob_tsallis(G: np.ndarray, eta: float, alpha: float) -> np.ndarray:
     """
     if not eta > 0:
         raise ValueError("eta must be > 0")
-    G = np.asarray(G, dtype=float) / eta
-    return _tsallis_probabilities(G - G.max(), alpha)[0]
+    shifted = _tsallis_shifted(np.asarray(G, dtype=float) / eta, alpha)
+    return _tsallis_probabilities(shifted, alpha)[0]
 
 
 def floor_probabilities(p: np.ndarray, rho: float) -> np.ndarray:
@@ -235,14 +242,13 @@ def tune_eta(K: int, T: int, sup_h: float, e_mk: float) -> float:
 @dataclass(frozen=True)
 class PotentialSpec:
     """Smoothed-potential choice: shannon(eta), tsallis(eta, alpha) or
-    ftpl(eta, perturbation, mc_samples, floor)."""
+    ftpl(eta, perturbation, mc_samples)."""
 
     kind: str
     eta: float = 1.0
     alpha: float = 0.5
     spec: PerturbationSpec | None = None
     mc_samples: int = 1000
-    floor: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in (SHANNON, TSALLIS, FTPL):
@@ -268,10 +274,9 @@ class PotentialSpec:
 
 @dataclass
 class GbpaState:
-    """End-of-run state: estimated cumulative rewards, realized total, arms."""
+    """End-of-run state: estimated cumulative rewards and the arms played."""
 
     g_hat_cum: np.ndarray
-    realized_reward: float
     arms: np.ndarray
 
 
@@ -280,19 +285,19 @@ def run_gbpa(
 ) -> tuple[float, GbpaState]:
     """Play the full reward matrix and report regret against the best fixed arm.
 
-    Regret is max column sum minus realized reward; with an oblivious
-    adversary this is the expected-regret target once averaged over episodes.
+    With an oblivious adversary this is the expected-regret target once
+    averaged over episodes.  FTPL probabilities are floored at 1e-4 / K so the
+    importance weights stay bounded.
     """
     rewards = validate_reward_matrix(rewards)
     T, K = rewards.shape
     rng = np.random.default_rng(seed)
 
     g_hat = np.zeros(K)
-    realized = 0.0
     arms = np.empty(T, dtype=np.int64)
 
     kind = potential.kind
-    rho = potential.floor if potential.floor is not None else 1e-4 / K
+    rho = 1e-4 / K
     nu = None
     for t in range(T):
         if kind == SHANNON:
@@ -305,14 +310,11 @@ def run_gbpa(
         u = rng.random()
         arm = int(p.cumsum().searchsorted(u * p.sum(), side="right"))
         arm = min(arm, K - 1)
-        g = rewards[t, arm]
-        realized += g
-        g_hat[arm] += g / p[arm]
+        g_hat[arm] += rewards[t, arm] / p[arm]
         arms[t] = arm
 
-    regret = float(rewards.sum(axis=0).max() - realized)
-    state = GbpaState(g_hat_cum=g_hat, realized_reward=realized, arms=arms)
-    return regret, state
+    regret = regret_at_checkpoints(rewards, arms, [T])[0]
+    return float(regret), GbpaState(g_hat_cum=g_hat, arms=arms)
 
 
 def regret_at_checkpoints(rewards: np.ndarray, arms: np.ndarray, checkpoints) -> np.ndarray:
@@ -320,7 +322,5 @@ def regret_at_checkpoints(rewards: np.ndarray, arms: np.ndarray, checkpoints) ->
     rewards = np.asarray(rewards, dtype=float)
     cum = np.cumsum(rewards, axis=0)
     realized = np.cumsum(rewards[np.arange(arms.size), arms])
-    out = np.empty(len(checkpoints))
-    for j, t in enumerate(checkpoints):
-        out[j] = cum[t - 1].max() - realized[t - 1]
-    return out
+    rows = np.asarray(checkpoints, dtype=np.int64) - 1
+    return cum[rows].max(axis=1) - realized[rows]

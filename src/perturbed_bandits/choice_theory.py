@@ -75,18 +75,11 @@ def wdz_fd_mixed_partial(
     i1: int,
     i2: int,
     h: float = 1e-4,
-) -> float:
-    """Mixed second partial d^2 C_{i0} / dG_{i1} dG_{i2} of the Tsallis choice
-    map at unit learning rate, by a Richardson-extrapolated central stencil."""
-    value, _ = _mixed_partial_with_error(G, alpha, i0, i1, i2, h)
-    return value
-
-
-def _mixed_partial_with_error(
-    G: np.ndarray, alpha: float, i0: int, i1: int, i2: int, h: float
 ) -> tuple[float, float]:
-    """Richardson-extrapolated mixed partial plus the extrapolation residual
-    |stencil(h/2) - stencil(h)|, a combined truncation/roundoff estimate."""
+    """Mixed second partial d^2 C_{i0} / dG_{i1} dG_{i2} of the Tsallis choice
+    map at unit learning rate, by a Richardson-extrapolated central stencil,
+    and the extrapolation residual |stencil(h/2) - stencil(h)|, a combined
+    truncation/roundoff estimate."""
     if len({i0, i1, i2}) != 3:
         raise ValueError("i0, i1, i2 must be distinct arm indices")
     if not 1e-5 <= h <= 1e-2:
@@ -150,7 +143,7 @@ def check_wdz_probe(alpha: float, eps: float, h: float = 1e-3) -> WdzCheckResult
     value = wdz_counterexample_value(alpha, eps)
     target = np.array([eps, eps, eps, 1.0 - 3.0 * eps])
     G = tsallis_choice_inverse(target, alpha)
-    fd, err = _mixed_partial_with_error(G, alpha, 0, 1, 2, h)
+    fd, err = wdz_fd_mixed_partial(G, alpha, 0, 1, 2, h)
     if abs(fd) < 10.0 * err:
         raise ArithmeticError(
             f"mixed partial {fd:.3e} not resolved beyond fd noise {err:.1e}"

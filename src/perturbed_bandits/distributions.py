@@ -165,42 +165,23 @@ def _inverse_cdf(spec: PerturbationSpec, u):
 
 
 def cdf(spec: PerturbationSpec, x):
-    x = np.asarray(x, dtype=float)
-    kind = spec.kind
-    if kind == GAUSSIAN:
-        out = special.ndtr(x / spec.sigma)
-    elif kind == UNIFORM:
-        out = np.clip((x + 1.0) / 2.0, 0.0, 1.0)
-    elif kind == RADEMACHER:
-        out = np.where(x < -1.0, 0.0, np.where(x < 1.0, 0.5, 1.0))
-    elif kind == DOUBLE_EXPONENTIAL:
-        z = x / spec.sigma
-        out = np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-np.abs(z)))
-    elif kind == GUMBEL:
-        out = np.exp(-np.exp(-(x - spec.mu) / spec.beta))
-    elif kind == GAMMA:
-        out = np.where(x > 0, special.gammainc(spec.alpha, np.maximum(x, 0.0)), 0.0)
-    elif kind == WEIBULL:
-        out = np.where(x >= 0, -np.expm1(1.0 - (1.0 + np.maximum(x, 0.0)) ** spec.alpha), 0.0)
-    elif kind == FRECHET:
-        with np.errstate(divide="ignore"):
-            out = np.where(x > 0, np.exp(-np.maximum(x, 1e-300) ** (-spec.alpha)), 0.0)
-    elif kind == PARETO:
-        out = np.where(x >= 0, -np.expm1(-spec.alpha * np.log1p(np.maximum(x, 0.0))), 0.0)
-    else:
-        raise AssertionError(kind)
-    return out if out.ndim else float(out)
+    """1 - survival, so it loses relative accuracy where the CDF itself is tiny."""
+    return 1.0 - survival(spec, x)
 
 
 def survival(spec: PerturbationSpec, x):
-    """1 - cdf, computed without cancellation in the far tail."""
+    """P(Z > x), computed without cancellation in the far upper tail."""
     x = np.asarray(x, dtype=float)
     kind = spec.kind
     if kind == GAUSSIAN:
         out = special.ndtr(-x / spec.sigma)
+    elif kind == UNIFORM:
+        out = np.clip((1.0 - x) / 2.0, 0.0, 1.0)
+    elif kind == RADEMACHER:
+        out = np.where(x < -1.0, 1.0, np.where(x < 1.0, 0.5, 0.0))
     elif kind == DOUBLE_EXPONENTIAL:
-        z = x / spec.sigma
-        out = np.where(z < 0, 1.0 - 0.5 * np.exp(z), 0.5 * np.exp(-np.abs(z)))
+        half = 0.5 * np.exp(-np.abs(x / spec.sigma))
+        out = np.where(x < 0, 1.0 - half, half)
     elif kind == GUMBEL:
         out = -np.expm1(-np.exp(-(x - spec.mu) / spec.beta))
     elif kind == GAMMA:
@@ -213,8 +194,8 @@ def survival(spec: PerturbationSpec, x):
     elif kind == PARETO:
         out = np.where(x >= 0, np.exp(-spec.alpha * np.log1p(np.maximum(x, 0.0))), 1.0)
     else:
-        out = 1.0 - np.asarray(cdf(spec, x))
-    return out if np.ndim(out) else float(out)
+        raise AssertionError(kind)
+    return out if out.ndim else float(out)
 
 
 def pdf(spec: PerturbationSpec, x):
@@ -241,7 +222,7 @@ def pdf(spec: PerturbationSpec, x):
         )
     elif kind == WEIBULL:
         xp = 1.0 + np.maximum(x, 0.0)
-        out = np.where(x >= 0, spec.alpha * xp ** (spec.alpha - 1.0) * np.exp(1.0 - xp**spec.alpha), 0.0)
+        out = np.where(x >= 0, spec.alpha * xp ** (spec.alpha - 1.0) * survival(spec, x), 0.0)
     elif kind == FRECHET:
         xm = np.maximum(x, 1e-300)
         out = np.where(x > 0, spec.alpha * xm ** (-spec.alpha - 1.0) * np.exp(-(xm ** (-spec.alpha))), 0.0)
@@ -331,10 +312,8 @@ def sup_hazard(spec: PerturbationSpec):
     # nowhere near the supremum and are skipped.
     a = spec.alpha
     grid = np.geomspace(1e-3, 50.0, 10_000)
-    dens = np.asarray(pdf(spec, grid))
-    surv = np.asarray(survival(spec, grid))
-    mask = dens > 0.0
-    est = float(np.max(dens[mask] / surv[mask]))
+    grid = grid[np.asarray(pdf(spec, grid)) > 0.0]
+    est = float(np.max(hazard(spec, grid)))
     return HazardInterval(lower=a / (math.e - 1.0), upper=2.0 * a, estimate=est)
 
 

@@ -84,7 +84,7 @@ POTENTIAL_KINDS = {
     "shannon": Kind(("eta",), "eta", _ETA),
     "tsallis": Kind(("eta", "alpha"), "eta", _ETA),
     "ftpl": Kind(
-        ("eta", "mc_samples", "floor"),
+        ("eta", "mc_samples"),
         "eta",
         _ETA,
         (dist.GUMBEL, dist.GAMMA, dist.WEIBULL, dist.FRECHET, dist.PARETO),
@@ -226,11 +226,7 @@ def expand_potential_entry(entry: dict, K: int, T: int) -> list[tuple[PotentialS
     ``"eta": "auto"`` applies the hazard/block-maxima tuning rule; it needs a
     bounded-hazard perturbation, so it is only valid for ftpl potentials.
     """
-    points = _expand(entry, POTENTIAL_KINDS, PotentialSpec, "potential", auto=lambda spec: _auto_eta(spec, K, T))
-    for potential, _ in points:
-        if potential.floor is not None:  # raises unless the floor lies in (0, 1/K)
-            adv.floor_probabilities(np.full(K, 1.0 / K), potential.floor)
-    return points
+    return _expand(entry, POTENTIAL_KINDS, PotentialSpec, "potential", auto=lambda spec: _auto_eta(spec, K, T))
 
 
 def load_config(path) -> ExperimentConfig:

@@ -112,6 +112,19 @@ class TestTsallis:
         with pytest.raises(ValueError):
             adv.solve_tsallis_lambda(np.zeros(2), 1.5)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_choice_prob_alpha_domain(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            adv.choice_prob_tsallis(np.zeros(2), 1.0, alpha)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_scores_rejected(self, bad):
+        G = np.array([0.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            adv.choice_prob_tsallis(G, 1.0, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            adv.solve_tsallis_lambda(G, 0.5)
+
 
 class TestFtplMc:
     def test_uniform_scores(self):
@@ -269,10 +282,10 @@ class TestRunGbpa:
 
     def test_state_accounting(self):
         rewards = adv.make_iid_rewards(200, 3, seed=0)
-        _, state = adv.run_gbpa(rewards, adv.PotentialSpec("shannon", eta=5.0), seed=1)
+        regret, state = adv.run_gbpa(rewards, adv.PotentialSpec("shannon", eta=5.0), seed=1)
         assert state.arms.size == 200
         realized = rewards[np.arange(200), state.arms].sum()
-        assert state.realized_reward == pytest.approx(realized)
+        assert regret == pytest.approx(rewards.sum(0).max() - realized)
 
     def test_shannon_sublinear_on_single_best_arm(self):
         K = 5

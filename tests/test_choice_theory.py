@@ -63,8 +63,8 @@ class TestChoiceInverse:
 class TestFiniteDifferences:
     def test_mixed_partial_symmetric_in_directions(self):
         G = np.zeros(4)
-        a = ct.wdz_fd_mixed_partial(G, 0.5, 0, 1, 2)
-        b = ct.wdz_fd_mixed_partial(G, 0.5, 0, 2, 1)
+        a, _ = ct.wdz_fd_mixed_partial(G, 0.5, 0, 1, 2)
+        b, _ = ct.wdz_fd_mixed_partial(G, 0.5, 0, 2, 1)
         assert a == pytest.approx(b, rel=1e-6)
 
     def test_distinct_indices_required(self):

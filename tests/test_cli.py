@@ -210,9 +210,9 @@ class TestErrorHandling:
             ),
             pytest.param(
                 "adversarial",
-                dict(ADV_CONFIG, potentials=[{"kind": "shannon", "eta": 8.0}, {"kind": "ftpl", "eta": 5.0, "floor": 0.5}]),
+                dict(ADV_CONFIG, potentials=[{"kind": "shannon", "eta": 8.0}, {"kind": "ftpl", "eta": 5.0, "floor": 0.01}]),
                 [],
-                id="floor-above-1/K",
+                id="floor-key",
             ),
             pytest.param(
                 "adversarial",

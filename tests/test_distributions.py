@@ -127,12 +127,25 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="no density"):
             dist.pdf(dist.rademacher(), 0.0)
 
-    @pytest.mark.parametrize("spec", CONTINUOUS_SPECS, ids=spec_id)
-    def test_survival_complements_cdf(self, spec):
-        x = dist.quantile(spec, np.linspace(0.01, 0.99, 50))
-        np.testing.assert_allclose(
-            np.asarray(dist.survival(spec, x)) + np.asarray(dist.cdf(spec, x)), 1.0, atol=1e-12
-        )
+    # (spec, x, P(Z > x)) with the reference worked out independently of the
+    # module; at every x the CDF rounds to within a few ulps of 1, so 1 - cdf
+    # keeps at most a few digits of it (none where it is below 1e-16).
+    FAR_TAILS = [
+        (dist.gaussian(1.0), 30.0, 0.5 * math.erfc(30.0 / math.sqrt(2.0))),
+        (dist.gaussian(2.0), 60.0, 0.5 * math.erfc(30.0 / math.sqrt(2.0))),
+        (dist.double_exponential(1.0), 40.0, 0.5 * math.exp(-40.0)),
+        (dist.gumbel(0.0, 1.0), 40.0, math.exp(-40.0)),
+        (dist.gumbel(1.0, 2.0), 81.0, math.exp(-40.0)),
+        (dist.gamma(2.0), 50.0, 51.0 * math.exp(-50.0)),
+        (dist.weibull(1.0), 40.0, math.exp(-40.0)),
+        (dist.weibull(0.5), 1e4, math.exp(1.0 - math.sqrt(10_001.0))),
+        (dist.frechet(2.0), 1e4, 1e-8 - 0.5e-16),
+        (dist.pareto(2.0), 1e6, 1.0 / 1_000_001.0**2),
+    ]
+
+    @pytest.mark.parametrize("spec, x, expected", FAR_TAILS, ids=[spec_id(c[0]) for c in FAR_TAILS])
+    def test_far_tail_survival(self, spec, x, expected):
+        assert dist.survival(spec, x) == pytest.approx(expected, rel=1e-12)
 
 
 class TestHazard:

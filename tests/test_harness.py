@@ -108,7 +108,7 @@ class TestGridExpansion:
 
 
 # A valid value other than the default for every key a kind accepts.
-NON_DEFAULT = {"sigma": 2.0, "epsilon": 0.5, "eta": 3.0, "alpha": 0.7, "shape": 3.0, "mc_samples": 7, "floor": 0.01}
+NON_DEFAULT = {"sigma": 2.0, "epsilon": 0.5, "eta": 3.0, "alpha": 0.7, "shape": 3.0, "mc_samples": 7}
 
 FAMILIES = (
     (hz.POLICY_KINDS, hz.expand_policy_entry),
