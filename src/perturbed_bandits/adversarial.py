@@ -71,6 +71,11 @@ def _tsallis_log_terms(gap: np.ndarray, alpha: float) -> np.ndarray:
     return 1.0 / (alpha - 1.0) * (math.log((1.0 - alpha) / alpha) + np.log(gap))
 
 
+def _tsallis_gap(p, alpha: float):
+    """lam - G_i at Tsallis choice probability p, inverting ``_tsallis_log_terms``."""
+    return alpha / (1.0 - alpha) * p ** (alpha - 1.0)
+
+
 def _tsallis_log_sum(nu: float, shifted: np.ndarray, alpha: float) -> tuple[float, float]:
     """log S(nu) and its nu-derivative, where S is the normalization sum.
 
@@ -152,13 +157,6 @@ def _tsallis_shifted(G: np.ndarray, alpha: float) -> np.ndarray:
     if not np.all(np.isfinite(G)):
         raise ValueError("G must be finite")
     return G - G.max()
-
-
-def solve_tsallis_lambda(G: np.ndarray, alpha: float) -> float:
-    """The unique lam > max(G) normalizing the Tsallis choice probabilities
-    to residual <= 1e-12."""
-    shifted = _tsallis_shifted(G, alpha)
-    return float(np.max(G)) + _solve_tsallis_nu(shifted, alpha)
 
 
 def choice_prob_tsallis(G: np.ndarray, eta: float, alpha: float) -> np.ndarray:
@@ -272,18 +270,10 @@ class PotentialSpec:
         return f"ftpl[{self.spec.label()}]"
 
 
-@dataclass
-class GbpaState:
-    """End-of-run state: estimated cumulative rewards and the arms played."""
-
-    g_hat_cum: np.ndarray
-    arms: np.ndarray
-
-
 def run_gbpa(
     rewards: np.ndarray, potential: PotentialSpec, seed: int | np.random.Generator
-) -> tuple[float, GbpaState]:
-    """Play the full reward matrix and report regret against the best fixed arm.
+) -> tuple[float, np.ndarray]:
+    """Play the reward matrix; return the regret against the best fixed arm and the arms played.
 
     With an oblivious adversary this is the expected-regret target once
     averaged over episodes.  FTPL probabilities are floored at 1e-4 / K so the
@@ -313,8 +303,7 @@ def run_gbpa(
         g_hat[arm] += rewards[t, arm] / p[arm]
         arms[t] = arm
 
-    regret = regret_at_checkpoints(rewards, arms, [T])[0]
-    return float(regret), GbpaState(g_hat_cum=g_hat, arms=arms)
+    return float(regret_at_checkpoints(rewards, arms, [T])[0]), arms
 
 
 def regret_at_checkpoints(rewards: np.ndarray, arms: np.ndarray, checkpoints) -> np.ndarray:

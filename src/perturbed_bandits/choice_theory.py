@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from . import distributions as dist
-from .adversarial import SHANNON, TSALLIS, _argmax_counts, choice_prob_shannon, choice_prob_tsallis
+from .adversarial import SHANNON, TSALLIS, _argmax_counts, _tsallis_gap, choice_prob_shannon, choice_prob_tsallis
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +61,8 @@ def tsallis_choice_inverse(target: np.ndarray, alpha: float) -> np.ndarray:
         raise ValueError("alpha must lie in (0, 1)")
     if np.any(target <= 0.0) or np.any(target >= 1.0) or abs(target.sum() - 1.0) > 1e-9:
         raise ValueError("target must be an interior point of the simplex")
-    # p_i = c (lam - G_i)^(1/(alpha-1)) inverts to lam - G_i = (p_i/c)^(alpha-1).
-    c = ((1.0 - alpha) / alpha) ** (1.0 / (alpha - 1.0))
-    depth = (target / c) ** (alpha - 1.0)
-    G = depth.max() - depth
-    return G
+    depth = _tsallis_gap(target, alpha)
+    return depth.max() - depth
 
 
 def wdz_fd_mixed_partial(
@@ -213,7 +210,7 @@ def tsallis_two_arm_z(u: float, alpha: float) -> float:
         raise ValueError("u must lie in (0, 1)")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    return alpha / (1.0 - alpha) * ((1.0 - u) ** (alpha - 1.0) - u ** (alpha - 1.0))
+    return _tsallis_gap(1.0 - u, alpha) - _tsallis_gap(u, alpha)
 
 
 def tsallis_two_arm_density(u: float, alpha: float) -> float:
@@ -279,7 +276,7 @@ def gumbel_softmax_equivalence(
     if M < 10_000:
         raise ValueError("need at least 1e4 Monte-Carlo samples")
     G = np.asarray(G, dtype=float)
-    counts = _argmax_counts(G, eta, dist.gumbel(0.0, 1.0), M, rng)
+    counts = _argmax_counts(G, eta, dist.gumbel(), M, rng)
     return float(np.abs(counts / M - choice_prob_shannon(G, eta)).max())
 
 

@@ -1,15 +1,15 @@
 """Perturbation and reward distributions.
 
 Every distribution used by the bandit algorithms lives here: seeded sampling,
-closed-form CDF/PDF/quantile, hazard rates, and sub-Weibull tail metadata.
-Weibull and Pareto use the shifted forms F(x) = 1 - exp(1 - (1+x)^a) and
-F(x) = 1 - (1+x)^(-a) on x >= 0, so the block-maxima normalizing constants
-come out with clean closed forms.
+closed-form CDF/PDF/quantile and hazard rates.  Gumbel is the standard one
+(location 0, scale 1).  Weibull and Pareto use the shifted forms
+F(x) = 1 - exp(1 - (1+x)^a) and F(x) = 1 - (1+x)^(-a) on x >= 0, so the
+block-maxima normalizing constants come out with clean closed forms.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -45,15 +45,13 @@ _BOUNDED_HAZARD_KINDS = {GUMBEL, GAMMA, WEIBULL, FRECHET, PARETO}
 class PerturbationSpec:
     """A named perturbation distribution with its parameters.
 
-    ``sigma`` scales Gaussian and double-exponential, ``mu``/``beta`` locate and
-    scale Gumbel, and ``alpha`` is the shape of Gamma, Weibull, Frechet and
-    Pareto.  Parameters are validated at construction so sampling never fails.
+    ``sigma`` scales Gaussian and double-exponential, ``alpha`` is the shape of
+    Gamma, Weibull, Frechet and Pareto, and Gumbel is the standard one.
+    Parameters are validated at construction so sampling never fails.
     """
 
     kind: str
     sigma: float = 1.0
-    mu: float = 0.0
-    beta: float = 1.0
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
@@ -61,8 +59,6 @@ class PerturbationSpec:
             raise ValueError(f"unknown perturbation kind: {self.kind!r}")
         if self.kind in (GAUSSIAN, DOUBLE_EXPONENTIAL) and not self.sigma > 0:
             raise ValueError(f"{self.kind} requires sigma > 0, got {self.sigma}")
-        if self.kind == GUMBEL and not self.beta > 0:
-            raise ValueError(f"gumbel requires beta > 0, got {self.beta}")
         if self.kind in (GAMMA, WEIBULL, PARETO) and not self.alpha > 0:
             raise ValueError(f"{self.kind} requires alpha > 0, got {self.alpha}")
         if self.kind == FRECHET and not self.alpha > 1:
@@ -77,7 +73,7 @@ class PerturbationSpec:
         if self.kind in (GAUSSIAN, DOUBLE_EXPONENTIAL):
             return f"{self.kind}({self.sigma:g})"
         if self.kind == GUMBEL:
-            return f"gumbel({self.mu:g},{self.beta:g})"
+            return "gumbel(0,1)"
         if self.kind in (GAMMA, WEIBULL, FRECHET, PARETO):
             return f"{self.kind}({self.alpha:g})"
         return self.kind
@@ -99,8 +95,8 @@ def double_exponential(sigma: float = 1.0) -> PerturbationSpec:
     return PerturbationSpec(DOUBLE_EXPONENTIAL, sigma=sigma)
 
 
-def gumbel(mu: float = 0.0, beta: float = 1.0) -> PerturbationSpec:
-    return PerturbationSpec(GUMBEL, mu=mu, beta=beta)
+def gumbel() -> PerturbationSpec:
+    return PerturbationSpec(GUMBEL)
 
 
 def gamma(alpha: float = 2.0) -> PerturbationSpec:
@@ -149,7 +145,7 @@ def _inverse_cdf(spec: PerturbationSpec, u):
     """The Gumbel, Weibull, Frechet or Pareto quantile at ``u`` in [0, 1)."""
     kind = spec.kind
     if kind == GUMBEL:
-        return spec.mu - spec.beta * np.log(-np.log1p(u - 1.0))
+        return -np.log(-np.log1p(u - 1.0))
     if kind == WEIBULL:
         return (1.0 - np.log1p(-u)) ** (1.0 / spec.alpha) - 1.0
     if kind == FRECHET:
@@ -183,13 +179,13 @@ def survival(spec: PerturbationSpec, x):
         half = 0.5 * np.exp(-np.abs(x / spec.sigma))
         out = np.where(x < 0, 1.0 - half, half)
     elif kind == GUMBEL:
-        out = -np.expm1(-np.exp(-(x - spec.mu) / spec.beta))
+        out = -np.expm1(-np.exp(-x))
     elif kind == GAMMA:
         out = np.where(x > 0, special.gammaincc(spec.alpha, np.maximum(x, 0.0)), 1.0)
     elif kind == WEIBULL:
         out = np.where(x >= 0, np.exp(1.0 - (1.0 + np.maximum(x, 0.0)) ** spec.alpha), 1.0)
     elif kind == FRECHET:
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             out = np.where(x > 0, -np.expm1(-np.maximum(x, 1e-300) ** (-spec.alpha)), 1.0)
     elif kind == PARETO:
         out = np.where(x >= 0, np.exp(-spec.alpha * np.log1p(np.maximum(x, 0.0))), 1.0)
@@ -211,8 +207,7 @@ def pdf(spec: PerturbationSpec, x):
     elif kind == DOUBLE_EXPONENTIAL:
         out = np.exp(-np.abs(x) / spec.sigma) / (2.0 * spec.sigma)
     elif kind == GUMBEL:
-        z = (x - spec.mu) / spec.beta
-        out = np.exp(-z - np.exp(-z)) / spec.beta
+        out = np.exp(-x - np.exp(-x))
     elif kind == GAMMA:
         xm = np.maximum(x, 1e-300)
         out = np.where(
@@ -224,8 +219,11 @@ def pdf(spec: PerturbationSpec, x):
         xp = 1.0 + np.maximum(x, 0.0)
         out = np.where(x >= 0, spec.alpha * xp ** (spec.alpha - 1.0) * survival(spec, x), 0.0)
     elif kind == FRECHET:
-        xm = np.maximum(x, 1e-300)
-        out = np.where(x > 0, spec.alpha * xm ** (-spec.alpha - 1.0) * np.exp(-(xm ** (-spec.alpha))), 0.0)
+        # exp(-x^-alpha) first: where it underflows (x <= 0 too) the density is 0.
+        with np.errstate(over="ignore"):
+            decay = np.exp(-(np.maximum(x, 1e-300) ** (-spec.alpha)))
+        xm = np.where(decay > 0.0, x, 1.0)
+        out = np.where(decay > 0.0, spec.alpha * xm ** (-spec.alpha - 1.0) * decay, 0.0)
     elif kind == PARETO:
         out = np.where(x >= 0, spec.alpha * (1.0 + np.maximum(x, 0.0)) ** (-spec.alpha - 1.0), 0.0)
     else:
@@ -272,7 +270,9 @@ class HazardInterval(NamedTuple):
 
 
 def hazard(spec: PerturbationSpec, x):
-    """Hazard rate f(x) / (1 - F(x)); defined where the density is positive."""
+    """Hazard rate f(x) / (1 - F(x)); defined at finite x where the density is positive."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError("hazard needs finite x")
     dens = np.asarray(pdf(spec, x), dtype=float)
     surv = np.asarray(survival(spec, x), dtype=float)
     if np.any(surv <= 0.0):
@@ -294,8 +294,8 @@ def sup_hazard(spec: PerturbationSpec):
     if kind not in _BOUNDED_HAZARD_KINDS:
         raise ValueError(f"{kind} is not in the bounded-hazard catalogue")
     if kind == GUMBEL:
-        # h increases monotonically to its supremum 1/beta.
-        return 1.0 / spec.beta
+        # h increases monotonically to its supremum 1.
+        return 1.0
     if kind == GAMMA:
         if spec.alpha < 1.0:
             raise ValueError("gamma hazard is unbounded near 0 for alpha < 1")
@@ -315,52 +315,6 @@ def sup_hazard(spec: PerturbationSpec):
     grid = grid[np.asarray(pdf(spec, grid)) > 0.0]
     est = float(np.max(hazard(spec, grid)))
     return HazardInterval(lower=a / (math.e - 1.0), upper=2.0 * a, estimate=est)
-
-
-# ---------------------------------------------------------------------------
-# Sub-Weibull tail metadata
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TailMetadata:
-    """Two-sided tail description: P(|Z| >= t) <= c_a exp(-t^p / 2 sigma^p)
-    and P(|Z| >= t) >= exp(-t^q / 2 sigma^q) / c_b."""
-
-    p: float
-    q: float
-    sigma: float
-    c_a: float
-    c_b: float
-
-    def __post_init__(self) -> None:
-        if not (self.p <= self.q <= 2.0):
-            raise ValueError(f"need p <= q <= 2, got p={self.p}, q={self.q}")
-        if self.q == 2.0 and self.sigma < 1.0:
-            raise ValueError("q = 2 requires sigma >= 1")
-        if self.c_a < 1.0 or self.c_b < 1.0:
-            raise ValueError("tail constants must be >= 1")
-
-    def upper_bound(self, t):
-        return self.c_a * np.exp(-np.asarray(t, dtype=float) ** self.p / (2.0 * self.sigma**self.p))
-
-    def lower_bound(self, t):
-        return np.exp(-np.asarray(t, dtype=float) ** self.q / (2.0 * self.sigma**self.q)) / self.c_b
-
-
-def tail_metadata(spec: PerturbationSpec) -> TailMetadata:
-    """Validated sub-Weibull constants for the perturbations the stochastic
-    algorithm supports (Gaussian and double-exponential)."""
-    if spec.kind == GAUSSIAN:
-        if spec.sigma < 1.0:
-            raise ValueError("gaussian tail metadata needs sigma >= 1 (q = 2)")
-        # c_b = 7 makes the anti-concentration bound hold out to t = 4*sigma;
-        # the Gaussian lower tail loses a factor ~t against exp(-t^2/2).
-        return TailMetadata(p=2.0, q=2.0, sigma=spec.sigma, c_a=2.0, c_b=7.0)
-    if spec.kind == DOUBLE_EXPONENTIAL:
-        # Laplace(scale s): P(|Z| >= t) = exp(-t/s) = exp(-t / (2*(s/2))).
-        return TailMetadata(p=1.0, q=1.0, sigma=spec.sigma / 2.0, c_a=2.0, c_b=2.0)
-    raise ValueError(f"{spec.kind} is not in the sub-Weibull catalogue used by the stochastic algorithm")
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,8 @@ def normalizing_constants(spec: PerturbationSpec, K: int) -> tuple[float, float,
     log_k = math.log(K)
     if kind == dist.GUMBEL:
         y = -math.log1p(-1.0 / K)
-        b = spec.mu - spec.beta * math.log(y)
-        a = spec.beta * math.expm1(y) / y
+        b = -math.log(y)
+        a = math.expm1(y) / y
         return a, b, GUMBEL_TYPE
     if kind == dist.GAMMA:
         b = log_k + (spec.alpha - 1.0) * math.log(log_k) - float(special.gammaln(spec.alpha))
@@ -101,7 +101,7 @@ def asymptotic_block_max(spec: PerturbationSpec, K: int) -> float:
 
 
 # The distributions of the verification table, one row block each.
-TABLE_SPECS = (dist.gumbel(0.0, 1.0), dist.gamma(2.0), dist.weibull(1.0), dist.frechet(2.0), dist.pareto(2.0))
+TABLE_SPECS = (dist.gumbel(), dist.gamma(2.0), dist.weibull(1.0), dist.frechet(2.0), dist.pareto(2.0))
 
 
 def tolerance_for(spec: PerturbationSpec) -> float:

@@ -354,8 +354,8 @@ def _episode(config: ExperimentConfig, grid, checkpoints, episode: int) -> np.nd
     if config.mode == "adversarial":
         rewards = ADVERSARIES[config.adversary](config.T, config.K, children[1])
         for i, (potential, _) in enumerate(grid):
-            _, state = run_gbpa(rewards, potential, np.random.default_rng(children[2 + i]))
-            out[i] = regret_at_checkpoints(rewards, state.arms, checkpoints)
+            _, arms = run_gbpa(rewards, potential, np.random.default_rng(children[2 + i]))
+            out[i] = regret_at_checkpoints(rewards, arms, checkpoints)
         return out
     means = np.random.default_rng(children[0]).random(config.K)
     rewards = RewardModel(config.reward_model).sample_table(means, config.T, np.random.default_rng(children[1]))

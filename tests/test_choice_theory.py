@@ -42,7 +42,7 @@ class TestChoiceInverse:
         G = ct.tsallis_choice_inverse(np.array([0.5, 0.5]), 0.5)
         np.testing.assert_allclose(G, 0.0, atol=1e-12)
         # internally lambda = sqrt(2) at G = 0
-        assert adv.solve_tsallis_lambda(G, 0.5) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert G.max() + adv._solve_tsallis_nu(G - G.max(), 0.5) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_round_trip_on_random_interior_points(self):
         rng = np.random.default_rng(0)
@@ -54,6 +54,17 @@ class TestChoiceInverse:
                 adv.choice_prob_tsallis(G, 1.0, 0.5), target, atol=1e-9
             )
             assert G.min() == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.7, 0.9])
+    def test_round_trip_at_other_alphas(self, alpha):
+        # The inverse shares _tsallis_gap with the two-arm quantile map; away
+        # from alpha = 0.5 its prefactor alpha / (1 - alpha) is not 1.
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            raw = rng.random(4) + 0.05
+            target = raw / raw.sum()
+            G = ct.tsallis_choice_inverse(target, alpha)
+            np.testing.assert_allclose(adv.choice_prob_tsallis(G, 1.0, alpha), target, atol=1e-9)
 
     def test_non_interior_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ CONTINUOUS_SPECS = [
     dist.gaussian(2.0),
     dist.uniform(),
     dist.double_exponential(1.0),
-    dist.gumbel(0.0, 1.0),
-    dist.gumbel(1.0, 2.0),
+    dist.gumbel(),
     dist.gamma(2.0),
     dist.weibull(1.0),
     dist.weibull(0.5),
@@ -134,8 +134,7 @@ class TestClosedForms:
         (dist.gaussian(1.0), 30.0, 0.5 * math.erfc(30.0 / math.sqrt(2.0))),
         (dist.gaussian(2.0), 60.0, 0.5 * math.erfc(30.0 / math.sqrt(2.0))),
         (dist.double_exponential(1.0), 40.0, 0.5 * math.exp(-40.0)),
-        (dist.gumbel(0.0, 1.0), 40.0, math.exp(-40.0)),
-        (dist.gumbel(1.0, 2.0), 81.0, math.exp(-40.0)),
+        (dist.gumbel(), 40.0, math.exp(-40.0)),
         (dist.gamma(2.0), 50.0, 51.0 * math.exp(-50.0)),
         (dist.weibull(1.0), 40.0, math.exp(-40.0)),
         (dist.weibull(0.5), 1e4, math.exp(1.0 - math.sqrt(10_001.0))),
@@ -174,9 +173,28 @@ class TestHazard:
         with pytest.raises(ValueError):
             dist.hazard(dist.uniform(), 2.0)
 
+    def test_frechet_density_vanishes_near_zero(self):
+        # Where exp(-x^-alpha) underflows, x^(-alpha-1) overflows; there, as at
+        # x <= 0, the density is 0 and the survival 1, with no warning.
+        near_zero = [-1.0, 0.0, 1e-300, 1e-200, 1e-120]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dist.pdf(dist.frechet(2.0), 1e-120) == 0.0
+            np.testing.assert_array_equal(dist.pdf(dist.frechet(1.5), near_zero), 0.0)
+            np.testing.assert_array_equal(dist.survival(dist.frechet(1.5), near_zero), 1.0)
+            with pytest.raises(ValueError, match="density vanishes"):
+                dist.hazard(dist.frechet(2.0), 1e-120)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_hazard_rejects_nonfinite_x(self, bad):
+        for spec in (dist.gumbel(), dist.frechet(2.0), dist.pareto(2.0)):
+            with pytest.raises(ValueError, match="finite"):
+                dist.hazard(spec, bad)
+            with pytest.raises(ValueError, match="finite"):
+                dist.hazard(spec, [1.0, bad])
+
     def test_sup_hazard_closed_forms(self):
-        assert dist.sup_hazard(dist.gumbel(0.0, 1.0)) == 1.0
-        assert dist.sup_hazard(dist.gumbel(0.0, 2.0)) == 0.5
+        assert dist.sup_hazard(dist.gumbel()) == 1.0
         assert dist.sup_hazard(dist.gamma(2.0)) == 1.0
         assert dist.sup_hazard(dist.weibull(0.5)) == 0.5
         assert dist.sup_hazard(dist.weibull(1.0)) == 1.0
@@ -202,45 +220,6 @@ class TestHazard:
             dist.sup_hazard(dist.gamma(0.5))
         with pytest.raises(ValueError):
             dist.sup_hazard(dist.gaussian())
-
-
-class TestTailMetadata:
-    def test_gaussian_exponents(self):
-        meta = dist.tail_metadata(dist.gaussian(1.0))
-        assert (meta.p, meta.q) == (2.0, 2.0)
-        assert meta.sigma == 1.0
-
-    def test_double_exponential_exponents(self):
-        meta = dist.tail_metadata(dist.double_exponential(1.0))
-        assert (meta.p, meta.q) == (1.0, 1.0)
-
-    def test_bounded_kinds_unsupported(self):
-        for spec in (dist.uniform(), dist.rademacher(), dist.gumbel()):
-            with pytest.raises(ValueError):
-                dist.tail_metadata(spec)
-
-    def test_gaussian_small_sigma_rejected(self):
-        with pytest.raises(ValueError, match="sigma >= 1"):
-            dist.tail_metadata(dist.gaussian(0.5))
-
-    def test_metadata_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            dist.TailMetadata(p=2.0, q=1.0, sigma=1.0, c_a=2.0, c_b=2.0)
-        with pytest.raises(ValueError):
-            dist.TailMetadata(p=2.0, q=2.0, sigma=0.5, c_a=2.0, c_b=2.0)
-        with pytest.raises(ValueError):
-            dist.TailMetadata(p=1.0, q=1.0, sigma=1.0, c_a=0.5, c_b=2.0)
-
-    @pytest.mark.parametrize(
-        "spec", [dist.gaussian(1.0), dist.double_exponential(1.0)], ids=spec_id
-    )
-    def test_two_sided_tail_bounds_hold_empirically(self, spec):
-        meta = dist.tail_metadata(spec)
-        draws = np.abs(dist.sample_array(spec, np.random.default_rng(6), 10**6))
-        for t in (0.5, 1.0, 2.0, 4.0):
-            frac = float(np.mean(draws >= t))
-            assert frac <= meta.upper_bound(t)
-            assert frac >= meta.lower_bound(t)
 
 
 class TestRewardModel:
