@@ -39,6 +39,10 @@ _KINDS = {
 _BOUNDED_KINDS = {UNIFORM, RADEMACHER}
 # Distributions with a bounded hazard rate (hazard supremum is well defined).
 _BOUNDED_HAZARD_KINDS = {GUMBEL, GAMMA, WEIBULL, FRECHET, PARETO}
+# Distributions drawn by inverse CDF, one uniform per draw (see _inverse_cdf).
+_INVERSE_CDF_KINDS = {GUMBEL, WEIBULL, FRECHET, PARETO}
+# The most draws sample_block_max holds at once (2 MiB of doubles).
+_PIECE = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,30 @@ def sample_array(spec: PerturbationSpec, rng: np.random.Generator, shape) -> np.
     return _inverse_cdf(spec, rng.random(shape))
 
 
+def sample_block_max(spec: PerturbationSpec, rng: np.random.Generator, m: int, K: int) -> np.ndarray:
+    """Maxima of ``m`` blocks of ``K`` i.i.d. draws.
+
+    Bitwise equal to ``sample_array(spec, rng, (m, K)).max(axis=1)``, and it
+    leaves the generator in the same state, but holds at most ``_PIECE``
+    draws at once: a block's draws are consecutive in the stream, so rows are
+    drawn a few at a time, and a block longer than a piece in column pieces.
+    The inverse-CDF kinds take the maximum of the raw uniforms and map only
+    the ``m`` maxima through the quantile, which is increasing.
+    """
+    inverse = spec.kind in _INVERSE_CDF_KINDS
+    draw = rng.random if inverse else lambda shape: sample_array(spec, rng, shape)
+    out = np.empty(m)
+    if K <= _PIECE:
+        rows = _PIECE // K
+        for start in range(0, m, rows):
+            block = out[start : start + rows]
+            draw((block.size, K)).max(axis=1, out=block)
+    else:
+        for i in range(m):
+            out[i] = max(draw(min(_PIECE, K - j)).max() for j in range(0, K, _PIECE))
+    return _inverse_cdf(spec, out) if inverse else out
+
+
 def _inverse_cdf(spec: PerturbationSpec, u):
     """The Gumbel, Weibull, Frechet or Pareto quantile at ``u`` in [0, 1)."""
     kind = spec.kind
@@ -179,7 +207,9 @@ def survival(spec: PerturbationSpec, x):
         half = 0.5 * np.exp(-np.abs(x / spec.sigma))
         out = np.where(x < 0, 1.0 - half, half)
     elif kind == GUMBEL:
-        out = -np.expm1(-np.exp(-x))
+        # exp(-x) overflows below x ~ -710, where the survival is exactly 1.
+        with np.errstate(over="ignore"):
+            out = -np.expm1(-np.exp(-x))
     elif kind == GAMMA:
         out = np.where(x > 0, special.gammaincc(spec.alpha, np.maximum(x, 0.0)), 1.0)
     elif kind == WEIBULL:
@@ -201,13 +231,17 @@ def pdf(spec: PerturbationSpec, x):
         raise ValueError("rademacher has no density (two-point support)")
     if kind == GAUSSIAN:
         z = x / spec.sigma
-        out = np.exp(-0.5 * z * z) / (spec.sigma * math.sqrt(2.0 * math.pi))
+        # z * z overflows beyond |z| ~ 1e154, where the density is exactly 0.
+        with np.errstate(over="ignore"):
+            out = np.exp(-0.5 * z * z) / (spec.sigma * math.sqrt(2.0 * math.pi))
     elif kind == UNIFORM:
         out = np.where((x >= -1.0) & (x <= 1.0), 0.5, 0.0)
     elif kind == DOUBLE_EXPONENTIAL:
         out = np.exp(-np.abs(x) / spec.sigma) / (2.0 * spec.sigma)
     elif kind == GUMBEL:
-        out = np.exp(-x - np.exp(-x))
+        # exp(-x) overflows below x ~ -710, where the density is exactly 0.
+        with np.errstate(over="ignore"):
+            out = np.exp(-x - np.exp(-x))
     elif kind == GAMMA:
         xm = np.maximum(x, 1e-300)
         out = np.where(

@@ -185,6 +185,28 @@ class TestHazard:
             with pytest.raises(ValueError, match="density vanishes"):
                 dist.hazard(dist.frechet(2.0), 1e-120)
 
+    def test_gumbel_density_vanishes_far_left(self):
+        # exp(-x) overflows below x ~ -710; there the density is 0 and the
+        # survival 1, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dist.pdf(dist.gumbel(), -800.0) == 0.0
+            assert dist.survival(dist.gumbel(), -800.0) == 1.0
+            np.testing.assert_array_equal(dist.survival(dist.gumbel(), [-800.0, -1e300]), 1.0)
+
+    def test_gumbel_hazard_far_left_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="density vanishes"):
+                dist.hazard(dist.gumbel(), -800.0)
+
+    def test_gaussian_density_vanishes_far_out(self):
+        # z * z overflows beyond |z| ~ 1e154; the density there is 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dist.pdf(dist.gaussian(), 1e200) == 0.0
+            np.testing.assert_array_equal(dist.pdf(dist.gaussian(2.0), [-1e200, 1e300]), 0.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_hazard_rejects_nonfinite_x(self, bad):
         for spec in (dist.gumbel(), dist.frechet(2.0), dist.pareto(2.0)):
@@ -212,6 +234,8 @@ class TestHazard:
         assert interval.lower == pytest.approx(2.0 / (math.e - 1.0))
         assert interval.upper == 4.0
         assert interval.lower < interval.estimate < interval.upper
+        # The estimate criterion 8 and "eta": "auto" read, to the last bit.
+        assert interval.estimate == 1.1702082635103743
 
     def test_sup_hazard_unbounded_cases_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.special import gamma as gamma_fn
 
 from perturbed_bandits import distributions as dist
@@ -40,6 +44,73 @@ class TestMcBlockMax:
             ex.mc_expected_block_max(dist.gumbel(), 0, 1000, rng)
         with pytest.raises(ValueError):
             ex.mc_expected_block_max(dist.gumbel(), 5, 50, rng)
+
+
+def oracle_block_max(spec, K, n_blocks, rng):
+    """mc_expected_block_max with every chunk of blocks drawn as one array."""
+    total = total_sq = 0.0
+    chunk = max(1, ex._CHUNK // K)
+    for done in range(0, n_blocks, chunk):
+        maxima = dist.sample_array(spec, rng, (min(chunk, n_blocks - done), K)).max(axis=1)
+        total += float(maxima.sum())
+        total_sq += float(np.square(maxima).sum())
+    mean = total / n_blocks
+    return mean, math.sqrt(max(total_sq / n_blocks - mean * mean, 0.0) / n_blocks)
+
+
+def oracle_specs(K):
+    """The verification table's distributions and the Frechet of tail index log K."""
+    return ex.TABLE_SPECS + (dist.frechet(math.log(max(K, 3))),)
+
+
+def assert_same_block_maxima(spec, K, m, seed):
+    fast, whole = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = dist.sample_block_max(spec, fast, m, K)
+    want = dist.sample_array(spec, whole, (m, K)).max(axis=1)
+    assert got.tobytes() == want.tobytes()
+    assert fast.bit_generator.state == whole.bit_generator.state
+
+
+class TestBlockMaxOracle:
+    """The piecewise draw gives the bits and the stream of whole-chunk draws."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=hs.data(), K=hs.integers(1, 3000), n_blocks=hs.integers(100, 300), seed=hs.integers(0, 2**32 - 1))
+    def test_matches_whole_chunk_draws(self, data, K, n_blocks, seed):
+        # Pieces and chunks shrunk to the block size, so that row pieces,
+        # column pieces and chunk ends all fall inside one small draw.
+        piece = data.draw(hs.integers(max(1, K // 4), 3 * K), label="piece")
+        chunk = data.draw(hs.integers(1, 400 * K), label="chunk")
+        with mock.patch.object(dist, "_PIECE", piece), mock.patch.object(ex, "_CHUNK", chunk):
+            for spec in oracle_specs(K):
+                assert_same_block_maxima(spec, K, n_blocks, seed)
+                fast, whole = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert ex.mc_expected_block_max(spec, K, n_blocks, fast) == oracle_block_max(
+                    spec, K, n_blocks, whole
+                )
+                assert fast.bit_generator.state == whole.bit_generator.state
+
+    @pytest.mark.parametrize("K", [1000, dist._PIECE + 5])
+    def test_matches_at_the_real_piece_size(self, K):
+        # Row pieces at K=1000, column pieces at K > _PIECE.
+        m = max(3, 2 * (dist._PIECE // K) + 7)
+        for spec in oracle_specs(K):
+            assert_same_block_maxima(spec, K, m, 2019)
+
+
+class TestBlockMaxMemory:
+    CASES = [(spec, 1000, 20_000) for spec in ex.TABLE_SPECS] + [(dist.gumbel(), (1 << 20) + 1, 100)]
+
+    @pytest.mark.parametrize("spec, K, n_blocks", CASES, ids=[f"{c[0].kind}-K{c[1]}" for c in CASES])
+    def test_peak_stays_a_few_pieces(self, spec, K, n_blocks):
+        # Drawn as one array, the 20,000 blocks of 1,000 alone took 160 MB.
+        tracemalloc.start()
+        try:
+            ex.mc_expected_block_max(spec, K, n_blocks, np.random.default_rng(7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestNormalizingConstants:
