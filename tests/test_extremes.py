@@ -92,9 +92,11 @@ class TestBlockMaxOracle:
 
     @pytest.mark.parametrize("K", [1000, dist._PIECE + 5])
     def test_matches_at_the_real_piece_size(self, K):
-        # Row pieces at K=1000, column pieces at K > _PIECE.
+        # Row pieces at K=1000, column pieces at K > _PIECE; the kinds with
+        # native samplers take the maxima of sample_array's pieces.
         m = max(3, 2 * (dist._PIECE // K) + 7)
-        for spec in oracle_specs(K):
+        native = (dist.gaussian(2.0), dist.uniform(), dist.rademacher(), dist.double_exponential())
+        for spec in oracle_specs(K) + native:
             assert_same_block_maxima(spec, K, m, 2019)
 
 
