@@ -41,7 +41,8 @@ _BOUNDED_KINDS = {UNIFORM, RADEMACHER}
 _BOUNDED_HAZARD_KINDS = {GUMBEL, GAMMA, WEIBULL, FRECHET, PARETO}
 # Distributions drawn by inverse CDF, one uniform per draw (see _inverse_cdf).
 _INVERSE_CDF_KINDS = {GUMBEL, WEIBULL, FRECHET, PARETO}
-# The most draws sample_block_max holds at once (2 MiB of doubles).
+# The most draws sample_block_max holds at once (2 MiB of doubles), unless
+# one block alone is longer.
 _PIECE = 1 << 18
 
 
@@ -142,30 +143,28 @@ def sample_array(spec: PerturbationSpec, rng: np.random.Generator, shape) -> np.
         return rng.laplace(0.0, spec.sigma, shape)
     if kind == GAMMA:
         return rng.standard_gamma(spec.alpha, shape)
-    return _inverse_cdf(spec, rng.random(shape))
+    if kind in _INVERSE_CDF_KINDS:
+        return _inverse_cdf(spec, rng.random(shape))
+    raise AssertionError(kind)
 
 
 def sample_block_max(spec: PerturbationSpec, rng: np.random.Generator, m: int, K: int) -> np.ndarray:
     """Maxima of ``m`` blocks of ``K`` i.i.d. draws.
 
     Bitwise equal to ``sample_array(spec, rng, (m, K)).max(axis=1)``, and it
-    leaves the generator in the same state, but holds at most ``_PIECE``
-    draws at once: a block's draws are consecutive in the stream, so rows are
-    drawn a few at a time, and a block longer than a piece in column pieces.
+    leaves the generator in the same state, but draws only ``_PIECE // K``
+    whole rows at once (one row when K is larger): a block's draws are
+    consecutive in the stream, so the rows come out in the same order.
     The inverse-CDF kinds take the maximum of the raw uniforms and map only
     the ``m`` maxima through the quantile, which is increasing.
     """
     inverse = spec.kind in _INVERSE_CDF_KINDS
     draw = rng.random if inverse else lambda shape: sample_array(spec, rng, shape)
     out = np.empty(m)
-    if K <= _PIECE:
-        rows = _PIECE // K
-        for start in range(0, m, rows):
-            block = out[start : start + rows]
-            draw((block.size, K)).max(axis=1, out=block)
-    else:
-        for i in range(m):
-            out[i] = max(draw(min(_PIECE, K - j)).max() for j in range(0, K, _PIECE))
+    rows = max(1, _PIECE // K)
+    for start in range(0, m, rows):
+        block = out[start : start + rows]
+        draw((block.size, K)).max(axis=1, out=block)
     return _inverse_cdf(spec, out) if inverse else out
 
 
