@@ -36,13 +36,13 @@ def validate_reward_matrix(rewards: np.ndarray) -> np.ndarray:
     return rewards
 
 
-def make_constant_rewards(T: int, K: int, value: float = 0.5) -> np.ndarray:
-    return validate_reward_matrix(np.full((T, K), value))
+def make_constant_rewards(T: int, K: int) -> np.ndarray:
+    return np.full((T, K), 0.5)
 
 
-def make_single_best_arm_rewards(T: int, K: int, best: int = 0) -> np.ndarray:
+def make_single_best_arm_rewards(T: int, K: int) -> np.ndarray:
     rewards = np.zeros((T, K))
-    rewards[:, best] = 1.0
+    rewards[:, 0] = 1.0
     return rewards
 
 
@@ -136,39 +136,32 @@ def _solve_tsallis_nu(shifted: np.ndarray, alpha: float, nu0: float | None = Non
 
 
 def _tsallis_probabilities(
-    shifted: np.ndarray, alpha: float, nu0: float | None = None
+    G: np.ndarray, eta: float, alpha: float, nu0: float | None = None
 ) -> tuple[np.ndarray, float]:
-    """Tsallis choice probabilities at unit learning rate and the solved nu.
+    """Tsallis choice probabilities of G at learning rate eta, and the solved nu.
 
-    ``shifted`` is G - max(G) (all <= 0), so lam - G_i = nu - shifted_i is
-    computed without cancellation even when G is large.
-    """
+    The callers check the inputs.  G/eta is shifted by its max (all <= 0), so
+    lam - G_i = nu - shifted_i keeps its digits even when G is large."""
+    shifted = G / eta
+    shifted = shifted - shifted.max()
     nu = _solve_tsallis_nu(shifted, alpha, nu0)
     with np.errstate(over="ignore"):
         p = np.exp(_tsallis_log_terms(nu - shifted, alpha))
     return p / p.sum(), nu
 
 
-def _tsallis_shifted(G: np.ndarray, alpha: float) -> np.ndarray:
-    """G - max(G), after checking that G is finite and alpha lies in (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    G = np.asarray(G, dtype=float)
-    if not np.all(np.isfinite(G)):
-        raise ValueError("G must be finite")
-    return G - G.max()
-
-
 def choice_prob_tsallis(G: np.ndarray, eta: float, alpha: float) -> np.ndarray:
-    """FTRL gradient for the Tsallis entropy regularizer.
-
-    The learning rate enters by rescaling G to G/eta before the eta = 1
-    closed form.
-    """
+    """FTRL gradient for the Tsallis entropy regularizer."""
     if not eta > 0:
         raise ValueError("eta must be > 0")
-    shifted = _tsallis_shifted(np.asarray(G, dtype=float) / eta, alpha)
-    return _tsallis_probabilities(shifted, alpha)[0]
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if not np.all(np.isfinite(G)):
+        raise ValueError("G must be finite")
+    p = _tsallis_probabilities(np.asarray(G, dtype=float), eta, alpha)[0]
+    if not np.all(np.isfinite(p)):
+        raise ValueError("G is too large for eta")
+    return p
 
 
 def floor_probabilities(p: np.ndarray, rho: float) -> np.ndarray:
@@ -227,8 +220,8 @@ def _argmax_counts(
 
 def tune_eta(K: int, T: int, sup_h: float, e_mk: float) -> float:
     """Scale minimizing eta * E[M_K] + K * sup_h * T / eta."""
-    if min(K, T) < 1 or sup_h <= 0 or e_mk <= 0:
-        raise ValueError("all inputs must be positive")
+    if min(K, T) < 1 or not (0 < sup_h < math.inf and 0 < e_mk < math.inf):
+        raise ValueError("all inputs must be positive and finite")
     return math.sqrt(K * sup_h * T / e_mk)
 
 
@@ -251,8 +244,8 @@ class PotentialSpec:
     def __post_init__(self) -> None:
         if self.kind not in (SHANNON, TSALLIS, FTPL):
             raise ValueError(f"unknown potential kind: {self.kind!r}")
-        if not self.eta > 0:
-            raise ValueError("eta must be > 0")
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
         if self.kind == TSALLIS and not 0.0 < self.alpha < 1.0:
             raise ValueError("tsallis alpha must lie in (0, 1)")
         if self.kind == FTPL:
@@ -293,8 +286,7 @@ def run_gbpa(
         if kind == SHANNON:
             p = choice_prob_shannon(g_hat, potential.eta)
         elif kind == TSALLIS:
-            shifted = g_hat / potential.eta
-            p, nu = _tsallis_probabilities(shifted - shifted.max(), potential.alpha, nu)
+            p, nu = _tsallis_probabilities(g_hat, potential.eta, potential.alpha, nu)
         else:
             p = choice_prob_ftpl_mc(g_hat, potential.eta, potential.spec, potential.mc_samples, rho, rng)
         u = rng.random()

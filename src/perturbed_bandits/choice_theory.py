@@ -13,6 +13,8 @@ from scipy.special import expit, logit
 from . import distributions as dist
 from .adversarial import SHANNON, TSALLIS, _argmax_counts, _tsallis_gap, choice_prob_shannon, choice_prob_tsallis
 
+_JACOBIAN_STEP = 1e-4  # central-difference step of the choice-map Jacobian
+
 
 # ---------------------------------------------------------------------------
 # Four-arm barrier: the mixed second partial that must be positive but is not
@@ -41,14 +43,14 @@ def wdz_counterexample_value(alpha: float, eps: float) -> float:
     )
 
 
-def wdz_sign_change_exists(alpha: float, grid_size: int = 800) -> bool:
+def wdz_sign_change_exists(alpha: float) -> bool:
     """Whether the sign witness changes sign somewhere on eps in (0, 1/3).
 
     The negative region shrinks towards 0 as alpha grows (it needs
     3 eps^(1-alpha) < 1, i.e. eps below 3^(-1/(1-alpha))), so the scan is
     geometric down to very small eps.
     """
-    eps = np.geomspace(1e-18, 1.0 / 3.0 - 1e-4, grid_size)
+    eps = np.geomspace(1e-18, 1.0 / 3.0 - 1e-4, 800)
     vals = np.array([wdz_counterexample_value(alpha, float(e)) for e in eps])
     return bool(vals.min() < 0.0 < vals.max())
 
@@ -71,7 +73,6 @@ def wdz_fd_mixed_partial(
     i0: int,
     i1: int,
     i2: int,
-    h: float = 1e-4,
 ) -> tuple[float, float]:
     """Mixed second partial d^2 C_{i0} / dG_{i1} dG_{i2} of the Tsallis choice
     map at unit learning rate, by a Richardson-extrapolated central stencil,
@@ -79,9 +80,9 @@ def wdz_fd_mixed_partial(
     truncation/roundoff estimate."""
     if len({i0, i1, i2}) != 3:
         raise ValueError("i0, i1, i2 must be distinct arm indices")
-    if not 1e-5 <= h <= 1e-2:
-        raise ValueError("step must lie in [1e-5, 1e-2]")
     G = np.asarray(G, dtype=float)
+    # The probe's mixed partial is tiny: a coarse step keeps it above roundoff.
+    h = 1e-3
 
     def component(step1: float, step2: float) -> float:
         g = G.copy()
@@ -99,7 +100,7 @@ def wdz_fd_mixed_partial(
     return (4.0 * fine - coarse) / 3.0, abs(fine - coarse)
 
 
-def wdz_fd_derivative_matrix(G: np.ndarray, alpha: float, h: float = 1e-4) -> np.ndarray:
+def wdz_fd_derivative_matrix(G: np.ndarray, alpha: float) -> np.ndarray:
     """First-derivative matrix D[i, j] = dC_i/dG_j by central differences."""
     G = np.asarray(G, dtype=float)
     K = G.size
@@ -107,9 +108,9 @@ def wdz_fd_derivative_matrix(G: np.ndarray, alpha: float, h: float = 1e-4) -> np
     for j in range(K):
         up = G.copy()
         dn = G.copy()
-        up[j] += h
-        dn[j] -= h
-        D[:, j] = (choice_prob_tsallis(up, 1.0, alpha) - choice_prob_tsallis(dn, 1.0, alpha)) / (2.0 * h)
+        up[j] += _JACOBIAN_STEP
+        dn[j] -= _JACOBIAN_STEP
+        D[:, j] = (choice_prob_tsallis(up, 1.0, alpha) - choice_prob_tsallis(dn, 1.0, alpha)) / (2.0 * _JACOBIAN_STEP)
     return D
 
 
@@ -128,7 +129,7 @@ class WdzCheckResult:
         return self.closed_form_value * self.fd_mixed_partial > 0.0
 
 
-def check_wdz_probe(alpha: float, eps: float, h: float = 1e-3) -> WdzCheckResult:
+def check_wdz_probe(alpha: float, eps: float) -> WdzCheckResult:
     """Evaluate the sign witness and its finite-difference counterpart at the
     four-arm probe point with choice probabilities (eps, eps, eps, 1-3*eps).
 
@@ -140,7 +141,7 @@ def check_wdz_probe(alpha: float, eps: float, h: float = 1e-3) -> WdzCheckResult
     value = wdz_counterexample_value(alpha, eps)
     target = np.array([eps, eps, eps, 1.0 - 3.0 * eps])
     G = tsallis_choice_inverse(target, alpha)
-    fd, err = wdz_fd_mixed_partial(G, alpha, 0, 1, 2, h)
+    fd, err = wdz_fd_mixed_partial(G, alpha, 0, 1, 2)
     if abs(fd) < 10.0 * err:
         raise ArithmeticError(
             f"mixed partial {fd:.3e} not resolved beyond fd noise {err:.1e}"
@@ -174,10 +175,10 @@ class DerivativeMatrixChecks:
         )
 
 
-def check_derivative_matrix(G: np.ndarray, alpha: float, h: float = 1e-4) -> DerivativeMatrixChecks:
+def check_derivative_matrix(G: np.ndarray, alpha: float) -> DerivativeMatrixChecks:
     """Symmetry, zero row sums, negative cross effects, and positive
     semidefiniteness on the simplex tangent space of the fd Jacobian."""
-    D = wdz_fd_derivative_matrix(G, alpha, h)
+    D = wdz_fd_derivative_matrix(G, alpha)
     K = D.shape[0]
     sym = float(np.abs(D - D.T).max())
     rows = float(np.abs(D.sum(axis=1)).max())
@@ -194,7 +195,7 @@ def check_derivative_matrix(G: np.ndarray, alpha: float, h: float = 1e-4) -> Der
         row_sum_error=rows,
         min_tangent_eigenvalue=float(eigs.min()),
         off_diagonal_max=off,
-        tolerance=10.0 * h * h,
+        tolerance=10.0 * _JACOBIAN_STEP * _JACOBIAN_STEP,
     )
 
 

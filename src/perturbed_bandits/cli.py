@@ -46,7 +46,7 @@ def _resolve_config(args: argparse.Namespace) -> harness.ExperimentConfig:
 
 
 def _run_simulation(args: argparse.Namespace, config: harness.ExperimentConfig) -> int:
-    result = harness.run_experiment(config, threads=args.threads)
+    result = harness.run_experiment(config)
     csv_path = args.out / f"{config.mode}_regret.csv"
     harness.emit_csv(result, csv_path)
     harness.emit_svg_lineplot(result, args.out / f"{config.mode}_regret.svg")
@@ -55,7 +55,7 @@ def _run_simulation(args: argparse.Namespace, config: harness.ExperimentConfig) 
 
 
 def _run_grid_search(args: argparse.Namespace, config: harness.ExperimentConfig) -> int:
-    search = harness.grid_search(config, threads=args.threads)
+    search = harness.grid_search(config)
     harness.emit_csv(search.all_results, args.out / "grid_results.csv")
     best_path = args.out / "grid_best.json"
     with open(best_path, "w") as fh:

@@ -25,17 +25,6 @@ WEIBULL = "weibull"
 FRECHET = "frechet"
 PARETO = "pareto"
 
-_KINDS = {
-    GAUSSIAN,
-    UNIFORM,
-    RADEMACHER,
-    DOUBLE_EXPONENTIAL,
-    GUMBEL,
-    GAMMA,
-    WEIBULL,
-    FRECHET,
-    PARETO,
-}
 _BOUNDED_KINDS = {UNIFORM, RADEMACHER}
 # Distributions with a bounded hazard rate (hazard supremum is well defined).
 _BOUNDED_HAZARD_KINDS = {GUMBEL, GAMMA, WEIBULL, FRECHET, PARETO}
@@ -60,15 +49,15 @@ class PerturbationSpec:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in PERTURBATIONS:
             raise ValueError(f"unknown perturbation kind: {self.kind!r}")
-        if self.kind in (GAUSSIAN, DOUBLE_EXPONENTIAL) and not self.sigma > 0:
-            raise ValueError(f"{self.kind} requires sigma > 0, got {self.sigma}")
-        if self.kind in (GAMMA, WEIBULL, PARETO) and not self.alpha > 0:
-            raise ValueError(f"{self.kind} requires alpha > 0, got {self.alpha}")
-        if self.kind == FRECHET and not self.alpha > 1:
+        if self.kind in (GAUSSIAN, DOUBLE_EXPONENTIAL) and not 0 < self.sigma < math.inf:
+            raise ValueError(f"{self.kind} requires finite sigma > 0, got {self.sigma}")
+        if self.kind in (GAMMA, WEIBULL, PARETO) and not 0 < self.alpha < math.inf:
+            raise ValueError(f"{self.kind} requires finite alpha > 0, got {self.alpha}")
+        if self.kind == FRECHET and not 1 < self.alpha < math.inf:
             # alpha <= 1 has no finite mean, so block maxima and tuning break down.
-            raise ValueError(f"frechet requires alpha > 1, got {self.alpha}")
+            raise ValueError(f"frechet requires finite alpha > 1, got {self.alpha}")
 
     @property
     def bounded_support(self) -> bool:
@@ -118,6 +107,21 @@ def frechet(alpha: float = 2.0) -> PerturbationSpec:
 
 def pareto(alpha: float = 2.0) -> PerturbationSpec:
     return PerturbationSpec(PARETO, alpha=alpha)
+
+
+# Each perturbation kind: its factory, and the config key of the factory's one
+# parameter (None if it takes none).  An absent key leaves the factory's default.
+PERTURBATIONS = {
+    GAUSSIAN: (gaussian, "sigma"),
+    DOUBLE_EXPONENTIAL: (double_exponential, "sigma"),
+    UNIFORM: (uniform, None),
+    RADEMACHER: (rademacher, None),
+    GUMBEL: (gumbel, None),
+    GAMMA: (gamma, "shape"),
+    WEIBULL: (weibull, "shape"),
+    FRECHET: (frechet, "shape"),
+    PARETO: (pareto, "shape"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +216,9 @@ def survival(spec: PerturbationSpec, x):
     elif kind == GAMMA:
         out = np.where(x > 0, special.gammaincc(spec.alpha, np.maximum(x, 0.0)), 1.0)
     elif kind == WEIBULL:
-        out = np.where(x >= 0, np.exp(1.0 - (1.0 + np.maximum(x, 0.0)) ** spec.alpha), 1.0)
+        # (1+x)^alpha overflows far out, where the survival is exactly 0.
+        with np.errstate(over="ignore"):
+            out = np.where(x >= 0, np.exp(1.0 - (1.0 + np.maximum(x, 0.0)) ** spec.alpha), 1.0)
     elif kind == FRECHET:
         with np.errstate(divide="ignore", over="ignore"):
             out = np.where(x > 0, -np.expm1(-np.maximum(x, 1e-300) ** (-spec.alpha)), 1.0)
@@ -360,16 +366,24 @@ GAUSSIAN_SHIFT = "gaussian_shift"
 GAUSSIAN_MIXTURE_SHIFT = "gaussian_mixture_shift"
 POINT = "point"
 
-REWARD_MODELS = (UNIFORM_SHIFT, RADEMACHER_SHIFT, GAUSSIAN_SHIFT, GAUSSIAN_MIXTURE_SHIFT, POINT)
+# Each reward model: the noise terms added to the arm means, in draw order.
+REWARD_NOISE = {
+    UNIFORM_SHIFT: (uniform(),),
+    RADEMACHER_SHIFT: (rademacher(),),
+    GAUSSIAN_SHIFT: (gaussian(),),
+    GAUSSIAN_MIXTURE_SHIFT: (rademacher(), gaussian()),
+    POINT: (),
+}
+REWARD_MODELS = tuple(REWARD_NOISE)
 
 
 @dataclass(frozen=True)
 class RewardModel:
     """1-sub-Gaussian reward noise shifted by the arm mean.
 
-    Each kind produces samples whose expectation is exactly the arm mean; the
-    mixture places weight 1/2 on components centred one unit either side of it.
-    ``point`` is the deterministic model used by the lower-bound instance.
+    A reward is the arm mean plus one zero-mean ``sample_array`` draw of each
+    of the model's ``REWARD_NOISE`` terms; the mixture's sign centres it one
+    unit either side of the mean.  ``point`` (no noise) is the lower-bound instance's.
     """
 
     kind: str = GAUSSIAN_SHIFT
@@ -381,15 +395,7 @@ class RewardModel:
     def sample_table(self, means: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
         """An (n, K) table: entry [k, i] is the reward for the k-th pull of arm i."""
         means = np.asarray(means, dtype=float)
-        shape = (n, means.size)
-        if self.kind == POINT:
-            return np.broadcast_to(means, shape).copy()
-        if self.kind == UNIFORM_SHIFT:
-            return means + rng.uniform(-1.0, 1.0, shape)
-        if self.kind == RADEMACHER_SHIFT:
-            return means + np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-        if self.kind == GAUSSIAN_SHIFT:
-            return means + rng.standard_normal(shape)
-        # Gaussian mixture: fair coin between N(mu-1, 1) and N(mu+1, 1).
-        signs = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-        return means + signs + rng.standard_normal(shape)
+        table = np.broadcast_to(means, (n, means.size)).copy()
+        for spec in REWARD_NOISE[self.kind]:
+            table += sample_array(spec, rng, table.shape)
+        return table

@@ -44,21 +44,6 @@ ADVERSARIES = {
     "iid": adv.make_iid_rewards,
 }
 
-# Each perturbation a config may name: its factory, and the config key of the
-# factory's one parameter (None if it takes none).  An absent key leaves the
-# factory's default.
-PERTURBATIONS = {
-    dist.GAUSSIAN: (dist.gaussian, "sigma"),
-    dist.DOUBLE_EXPONENTIAL: (dist.double_exponential, "sigma"),
-    dist.UNIFORM: (dist.uniform, None),
-    dist.RADEMACHER: (dist.rademacher, None),
-    dist.GUMBEL: (dist.gumbel, None),
-    dist.GAMMA: (dist.gamma, "shape"),
-    dist.WEIBULL: (dist.weibull, "shape"),
-    dist.FRECHET: (dist.frechet, "shape"),
-    dist.PARETO: (dist.pareto, "shape"),
-}
-
 
 class Kind(NamedTuple):
     """One policy or potential kind: the keys passed to the object it builds,
@@ -182,7 +167,7 @@ def _expand(entry, table: dict[str, Kind], build, what: str, auto=None) -> list[
     pert = entry.get("perturbation", next(iter(row.perturbations), None))
     if "perturbation" in entry and pert not in row.perturbations:
         raise ValueError(f"{what} kind {kind!r} cannot use perturbation {pert!r}, only {list(row.perturbations)}")
-    make_spec, spec_key = PERTURBATIONS.get(pert, (None, None))
+    make_spec, spec_key = dist.PERTURBATIONS.get(pert, (None, None))
     unknown = sorted(set(entry) - {"kind", "perturbation", spec_key, *row.keys})
     if unknown:
         with_pert = f" with perturbation {pert!r}" if pert else ""
@@ -410,11 +395,11 @@ class GridSearchResult:
     all_results: AggregateResult
 
 
-def grid_search(config: ExperimentConfig, threads: int = 1) -> GridSearchResult:
+def grid_search(config: ExperimentConfig) -> GridSearchResult:
     """Exhaustive evaluation; argmin of final mean R(T)/T per policy, ties
     resolved to the grid point listed first (grids should be ascending).
     Other parameters within one combined stderr of the winner are reported."""
-    result = run_experiment(config, threads)
+    result = run_experiment(config)
     finals: dict[str, list[ResultRow]] = {}
     for row in result.final_rows():
         finals.setdefault(row.policy, []).append(row)
@@ -479,11 +464,12 @@ def parse_csv(path) -> AggregateResult:
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
 
 
-def emit_svg_lineplot(result: AggregateResult, path, width: int = 800, height: int = 500) -> None:
+def emit_svg_lineplot(result: AggregateResult, path) -> None:
     """Average-regret line plot: one polyline per (policy, param) series."""
     series = result.series()
     if not series:
         raise ValueError("refusing to plot an empty result")
+    width, height = 800, 500
     left, right, top, bottom = 70, 180, 30, 50
     pw, ph = width - left - right, height - top - bottom
     ts = sorted({r.t for rows in series.values() for r in rows})

@@ -79,8 +79,8 @@ class PolicyConfig:
         if self.kind == FTPL_BOUNDED:
             if self.spec is None or not self.spec.bounded_support:
                 raise ValueError("rcb requires a bounded perturbation supported on [-1, 1]")
-            if not self.epsilon > 0:
-                raise ValueError("rcb requires epsilon > 0")
+            if not 0 < self.epsilon < math.inf:
+                raise ValueError(f"rcb requires finite epsilon > 0, got {self.epsilon}")
 
     def label(self) -> str:
         if self.kind in (UCB1, THOMPSON):

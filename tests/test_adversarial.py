@@ -8,6 +8,7 @@ from hypothesis import strategies as hs
 
 from perturbed_bandits import adversarial as adv
 from perturbed_bandits import distributions as dist
+from perturbed_bandits import stochastic as st
 
 
 class TestRewardMatrices:
@@ -18,9 +19,9 @@ class TestRewardMatrices:
             adv.validate_reward_matrix(np.zeros(5))
 
     def test_generators(self):
-        assert adv.make_constant_rewards(4, 3, 0.5).shape == (4, 3)
-        single = adv.make_single_best_arm_rewards(5, 3, best=1)
-        np.testing.assert_array_equal(single.sum(axis=0), [0.0, 5.0, 0.0])
+        np.testing.assert_array_equal(adv.make_constant_rewards(4, 3), np.full((4, 3), 0.5))
+        single = adv.make_single_best_arm_rewards(5, 3)
+        np.testing.assert_array_equal(single.sum(axis=0), [5.0, 0.0, 0.0])
         iid = adv.make_iid_rewards(10, 2, seed=0)
         np.testing.assert_array_equal(iid, adv.make_iid_rewards(10, 2, seed=0))
 
@@ -110,8 +111,9 @@ class TestTsallis:
         assert np.abs(p - q).max() < 1e-2
 
     def test_alpha_domain(self):
+        # run_gbpa's Tsallis rounds are unchecked; the potential checks alpha once.
         with pytest.raises(ValueError, match="alpha must lie in"):
-            adv._tsallis_shifted(np.zeros(2), 1.5)
+            adv.PotentialSpec("tsallis", alpha=1.5)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
     def test_choice_prob_alpha_domain(self, alpha):
@@ -123,8 +125,12 @@ class TestTsallis:
         G = np.array([0.0, bad])
         with pytest.raises(ValueError, match="finite"):
             adv.choice_prob_tsallis(G, 1.0, 0.5)
-        with pytest.raises(ValueError, match="finite"):
-            adv._tsallis_shifted(G, 0.5)
+
+    @pytest.mark.parametrize("G", [[1e308, 0.0], [-1e308, 0.0], [1e308, 1e308]])
+    def test_overflowing_scores_rejected(self, G):
+        # Finite G whose G / eta overflows fails closed instead of returning NaN.
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="too large"):
+            adv.choice_prob_tsallis(np.array(G), 0.5, 0.5)
 
 
 class TestFtplMc:
@@ -264,6 +270,25 @@ class TestIpw:
         np.testing.assert_allclose(mean, self.REWARDS[0], rtol=1e-15)
 
 
+# A NaN or infinite value of each range-checked parameter of a library object.
+NONFINITE_CASES = {
+    "gaussian-sigma": lambda v: dist.PerturbationSpec("gaussian", sigma=v),
+    "pareto-alpha": lambda v: dist.PerturbationSpec("pareto", alpha=v),
+    "frechet-alpha": lambda v: dist.PerturbationSpec("frechet", alpha=v),
+    "rcb-epsilon": lambda v: st.PolicyConfig("rcb", dist.uniform(), epsilon=v),
+    "shannon-eta": lambda v: adv.PotentialSpec("shannon", eta=v),
+    "tune_eta-sup_h": lambda v: adv.tune_eta(10, 100, v, 1.0),
+    "tune_eta-e_mk": lambda v: adv.tune_eta(10, 100, 1.0, v),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("build", NONFINITE_CASES.values(), ids=NONFINITE_CASES.keys())
+def test_nonfinite_parameters_rejected(build, bad):
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)
+
+
 class TestTuneEta:
     def test_balance_point(self):
         assert adv.tune_eta(2, 5, 1.0, 10.0) == 1.0
@@ -280,7 +305,7 @@ class TestTuneEta:
 
 class TestRunGbpa:
     def test_constant_rewards_zero_regret(self):
-        rewards = adv.make_constant_rewards(500, 4, 0.5)
+        rewards = adv.make_constant_rewards(500, 4)
         pot = adv.PotentialSpec("shannon", eta=10.0)
         regs = [adv.run_gbpa(rewards, pot, seed=s)[0] for s in range(20)]
         assert abs(np.mean(regs)) < 1e-9

@@ -82,10 +82,6 @@ class TestFiniteDifferences:
         with pytest.raises(ValueError):
             ct.wdz_fd_mixed_partial(np.zeros(4), 0.5, 0, 0, 1)
 
-    def test_step_range_enforced(self):
-        with pytest.raises(ValueError):
-            ct.wdz_fd_mixed_partial(np.zeros(4), 0.5, 0, 1, 2, h=1e-6)
-
     def test_probe_point_sign_matches_closed_form(self):
         result = ct.check_wdz_probe(0.5, 0.01)
         assert result.closed_form_value < 0.0

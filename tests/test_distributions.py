@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -140,11 +141,18 @@ class TestClosedForms:
         (dist.weibull(0.5), 1e4, math.exp(1.0 - math.sqrt(10_001.0))),
         (dist.frechet(2.0), 1e4, 1e-8 - 0.5e-16),
         (dist.pareto(2.0), 1e6, 1.0 / 1_000_001.0**2),
+        # (1+x)^2 overflows; the survival is exactly 0, with no warning.
+        (dist.weibull(2.0), 1e200, 0.0),
     ]
 
     @pytest.mark.parametrize("spec, x, expected", FAR_TAILS, ids=[spec_id(c[0]) for c in FAR_TAILS])
     def test_far_tail_survival(self, spec, x, expected):
         assert dist.survival(spec, x) == pytest.approx(expected, rel=1e-12)
+
+    def test_far_tail_weibull_density(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dist.pdf(dist.weibull(2.0), 1e200) == 0.0
 
 
 class TestHazard:
@@ -272,3 +280,45 @@ class TestRewardModel:
         )
         # Var = 1 (component) + 1 (component separation) = 2 for the mixture.
         assert table.var(ddof=1) == pytest.approx(2.0, rel=0.02)
+
+
+def _reference_table(kind, means, n, rng):
+    """The reward table as each model's formula wrote it before the models
+    became sums of ``sample_array`` terms."""
+    shape = (n, means.size)
+    if kind == dist.POINT:
+        return np.broadcast_to(means, shape).copy()
+    if kind == dist.UNIFORM_SHIFT:
+        return means + rng.uniform(-1.0, 1.0, shape)
+    if kind == dist.RADEMACHER_SHIFT:
+        return means + np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+    if kind == dist.GAUSSIAN_SHIFT:
+        return means + rng.standard_normal(shape)
+    signs = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+    return means + signs + rng.standard_normal(shape)
+
+
+class TestRewardTable:
+    @pytest.mark.parametrize("kind", dist.REWARD_MODELS)
+    @pytest.mark.parametrize("n, K", [(1, 3), (1000, 17)])
+    def test_matches_reference_formulas(self, kind, n, K):
+        means = np.random.default_rng(K).random(K)
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        table = dist.RewardModel(kind).sample_table(means, n, rng)
+        expected = _reference_table(kind, means, n, ref_rng)
+        assert table.shape == (n, K)
+        assert table.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("kind", dist.REWARD_MODELS)
+    def test_peak_memory(self, kind):
+        # The table plus one noise term and a mask; the mixture once held three tables.
+        means, n = np.linspace(0.0, 1.0, 50), 20_000
+        model, rng = dist.RewardModel(kind), np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            model.sample_table(means, n, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * means.size * n * 8

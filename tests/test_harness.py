@@ -126,7 +126,7 @@ def _key_cases():
     for expand, kind, row in _kinds():
         for pert in row.perturbations or (None,):
             base = {"kind": kind} if pert is None else {"kind": kind, "perturbation": pert}
-            keys = [*row.keys, hz.PERTURBATIONS[pert][1]] if pert else list(row.keys)
+            keys = [*row.keys, dist.PERTURBATIONS[pert][1]] if pert else list(row.keys)
             for key in filter(None, keys):
                 yield pytest.param(expand, base, key, id=f"{kind}-{pert}-{key}")
 
@@ -283,7 +283,7 @@ class TestGridSearch:
         rows = tuple(
             hz.ResultRow("ftpl-gaussian", param, 500, 0.1, 0.0, 4, 5) for param in ("sigma=2", "sigma=1")
         )
-        monkeypatch.setattr(hz, "run_experiment", lambda config, threads: hz.AggregateResult(rows))
+        monkeypatch.setattr(hz, "run_experiment", lambda config: hz.AggregateResult(rows))
         search = hz.grid_search(small_stochastic_config())
         assert search.best[0].best_param == "sigma=2"
         assert search.best[0].tied_within_stderr == ("sigma=1",)
