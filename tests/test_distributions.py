@@ -283,8 +283,8 @@ class TestRewardModel:
 
 
 def _reference_table(kind, means, n, rng):
-    """The reward table as each model's formula wrote it before the models
-    became sums of ``sample_array`` terms."""
+    """Each model's reward table written out as its own formula: the oracle
+    for ``sample_table``'s sums of ``sample_array`` terms."""
     shape = (n, means.size)
     if kind == dist.POINT:
         return np.broadcast_to(means, shape).copy()
