@@ -312,7 +312,7 @@ class TestRewardTable:
 
     @pytest.mark.parametrize("kind", dist.REWARD_MODELS)
     def test_peak_memory(self, kind):
-        # The table plus one noise term and a mask; the mixture once held three tables.
+        # At most the table, one noise term and its boolean mask: 2.125 tables.
         means, n = np.linspace(0.0, 1.0, 50), 20_000
         model, rng = dist.RewardModel(kind), np.random.default_rng(0)
         tracemalloc.start()
