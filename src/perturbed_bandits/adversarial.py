@@ -57,8 +57,8 @@ def make_iid_rewards(T: int, K: int, seed: int | np.random.SeedSequence) -> np.n
 
 def choice_prob_shannon(G: np.ndarray, eta: float) -> np.ndarray:
     """Softmax of G / eta with max subtraction."""
-    if not eta > 0:
-        raise ValueError("eta must be > 0")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be finite and > 0, got {eta}")
     z = np.asarray(G, dtype=float) / eta
     z = z - z.max()
     w = np.exp(z)
@@ -152,8 +152,8 @@ def _tsallis_probabilities(
 
 def choice_prob_tsallis(G: np.ndarray, eta: float, alpha: float) -> np.ndarray:
     """FTRL gradient for the Tsallis entropy regularizer."""
-    if not eta > 0:
-        raise ValueError("eta must be > 0")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be finite and > 0, got {eta}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if not np.all(np.isfinite(G)):
@@ -207,7 +207,7 @@ def _argmax_counts(
 ) -> np.ndarray:
     K = G.size
     counts = np.zeros(K, dtype=np.int64)
-    chunk = max(1, min(mc_samples, 2_000_000 // K))
+    chunk = max(1, min(mc_samples, dist._PIECE // K))
     done = 0
     while done < mc_samples:
         m = min(chunk, mc_samples - done)

@@ -1,7 +1,8 @@
 """Perturbation and reward distributions.
 
-Every distribution used by the bandit algorithms lives here: seeded sampling,
-closed-form CDF/PDF/quantile and hazard rates.  Gumbel is the standard one
+Every distribution used by the bandit algorithms lives here: seeded sampling
+of every kind, hazard-rate suprema, and the density, survival and hazard rate
+of the Gumbel and the Frechet.  Gumbel is the standard one
 (location 0, scale 1).  Weibull and Pareto use the shifted forms
 F(x) = 1 - exp(1 - (1+x)^a) and F(x) = 1 - (1+x)^(-a) on x >= 0, so the
 block-maxima normalizing constants come out with clean closed forms.
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 GAUSSIAN = "gaussian"
 UNIFORM = "uniform"
@@ -187,111 +187,44 @@ def _inverse_cdf(spec: PerturbationSpec, u):
 
 
 # ---------------------------------------------------------------------------
-# CDF / PDF / quantile / survival
+# Density and survival of the Gumbel and the Frechet, whose hazard rates are
+# evaluated; every other kind's sup_hazard is a closed form.
 # ---------------------------------------------------------------------------
 
 
-def cdf(spec: PerturbationSpec, x):
-    """1 - survival, so it loses relative accuracy where the CDF itself is tiny."""
-    return 1.0 - survival(spec, x)
+def _density_kind(spec: PerturbationSpec) -> str:
+    if spec.kind not in (GUMBEL, FRECHET):
+        raise ValueError(f"no density or survival for {spec.kind}: only gumbel and frechet have them")
+    return spec.kind
 
 
 def survival(spec: PerturbationSpec, x):
     """P(Z > x), computed without cancellation in the far upper tail."""
+    kind = _density_kind(spec)
     x = np.asarray(x, dtype=float)
-    kind = spec.kind
-    if kind == GAUSSIAN:
-        out = special.ndtr(-x / spec.sigma)
-    elif kind == UNIFORM:
-        out = np.clip((1.0 - x) / 2.0, 0.0, 1.0)
-    elif kind == RADEMACHER:
-        out = np.where(x < -1.0, 1.0, np.where(x < 1.0, 0.5, 0.0))
-    elif kind == DOUBLE_EXPONENTIAL:
-        half = 0.5 * np.exp(-np.abs(x / spec.sigma))
-        out = np.where(x < 0, 1.0 - half, half)
-    elif kind == GUMBEL:
+    if kind == GUMBEL:
         # exp(-x) overflows below x ~ -710, where the survival is exactly 1.
         with np.errstate(over="ignore"):
             out = -np.expm1(-np.exp(-x))
-    elif kind == GAMMA:
-        out = np.where(x > 0, special.gammaincc(spec.alpha, np.maximum(x, 0.0)), 1.0)
-    elif kind == WEIBULL:
-        # (1+x)^alpha overflows far out, where the survival is exactly 0.
-        with np.errstate(over="ignore"):
-            out = np.where(x >= 0, np.exp(1.0 - (1.0 + np.maximum(x, 0.0)) ** spec.alpha), 1.0)
-    elif kind == FRECHET:
+    else:
         with np.errstate(divide="ignore", over="ignore"):
             out = np.where(x > 0, -np.expm1(-np.maximum(x, 1e-300) ** (-spec.alpha)), 1.0)
-    elif kind == PARETO:
-        out = np.where(x >= 0, np.exp(-spec.alpha * np.log1p(np.maximum(x, 0.0))), 1.0)
-    else:
-        raise AssertionError(kind)
     return out if out.ndim else float(out)
 
 
 def pdf(spec: PerturbationSpec, x):
+    kind = _density_kind(spec)
     x = np.asarray(x, dtype=float)
-    kind = spec.kind
-    if kind == RADEMACHER:
-        raise ValueError("rademacher has no density (two-point support)")
-    if kind == GAUSSIAN:
-        z = x / spec.sigma
-        # z * z overflows beyond |z| ~ 1e154, where the density is exactly 0.
-        with np.errstate(over="ignore"):
-            out = np.exp(-0.5 * z * z) / (spec.sigma * math.sqrt(2.0 * math.pi))
-    elif kind == UNIFORM:
-        out = np.where((x >= -1.0) & (x <= 1.0), 0.5, 0.0)
-    elif kind == DOUBLE_EXPONENTIAL:
-        out = np.exp(-np.abs(x) / spec.sigma) / (2.0 * spec.sigma)
-    elif kind == GUMBEL:
+    if kind == GUMBEL:
         # exp(-x) overflows below x ~ -710, where the density is exactly 0.
         with np.errstate(over="ignore"):
             out = np.exp(-x - np.exp(-x))
-    elif kind == GAMMA:
-        xm = np.maximum(x, 1e-300)
-        out = np.where(
-            x > 0,
-            np.exp((spec.alpha - 1.0) * np.log(xm) - xm - special.gammaln(spec.alpha)),
-            0.0,
-        )
-    elif kind == WEIBULL:
-        xp = 1.0 + np.maximum(x, 0.0)
-        out = np.where(x >= 0, spec.alpha * xp ** (spec.alpha - 1.0) * survival(spec, x), 0.0)
-    elif kind == FRECHET:
+    else:
         # exp(-x^-alpha) first: where it underflows (x <= 0 too) the density is 0.
         with np.errstate(over="ignore"):
             decay = np.exp(-(np.maximum(x, 1e-300) ** (-spec.alpha)))
         xm = np.where(decay > 0.0, x, 1.0)
         out = np.where(decay > 0.0, spec.alpha * xm ** (-spec.alpha - 1.0) * decay, 0.0)
-    elif kind == PARETO:
-        out = np.where(x >= 0, spec.alpha * (1.0 + np.maximum(x, 0.0)) ** (-spec.alpha - 1.0), 0.0)
-    else:
-        raise AssertionError(kind)
-    return out if out.ndim else float(out)
-
-
-def quantile(spec: PerturbationSpec, u):
-    """Inverse CDF on (0, 1); the Gumbel and Frechet tails below u ~ 1e-8 lose digits to log1p(u - 1)."""
-    u_arr = np.asarray(u, dtype=float)
-    if np.any((u_arr <= 0.0) | (u_arr >= 1.0)):
-        raise ValueError("quantile argument must lie in the open interval (0, 1)")
-    kind = spec.kind
-    if kind == GAUSSIAN:
-        out = special.ndtri(u_arr) * spec.sigma
-    elif kind == UNIFORM:
-        out = 2.0 * u_arr - 1.0
-    elif kind == RADEMACHER:
-        out = np.where(u_arr <= 0.5, -1.0, 1.0)
-    elif kind == DOUBLE_EXPONENTIAL:
-        out = np.where(
-            u_arr < 0.5,
-            spec.sigma * np.log(2.0 * u_arr),
-            -spec.sigma * np.log(2.0 * (1.0 - u_arr)),
-        )
-    elif kind == GAMMA:
-        out = special.gammaincinv(spec.alpha, u_arr)
-    else:
-        out = _inverse_cdf(spec, u_arr)
     return out if out.ndim else float(out)
 
 

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import distributions as dist
 from .distributions import PerturbationSpec
@@ -79,7 +78,7 @@ def normalizing_constants(spec: PerturbationSpec, K: int) -> tuple[float, float,
         a = math.expm1(y) / y
         return a, b, GUMBEL_TYPE
     if kind == dist.GAMMA:
-        b = log_k + (spec.alpha - 1.0) * math.log(log_k) - float(special.gammaln(spec.alpha))
+        b = log_k + (spec.alpha - 1.0) * math.log(log_k) - math.lgamma(spec.alpha)
         return 1.0, b, GUMBEL_TYPE
     if kind == dist.WEIBULL:
         if spec.alpha > 1.0:
@@ -105,7 +104,7 @@ def asymptotic_block_max(spec: PerturbationSpec, K: int) -> float:
     a, b, evt_type = normalizing_constants(spec, K)
     if evt_type == GUMBEL_TYPE:
         return EULER_GAMMA * a + b
-    return float(special.gamma(1.0 - 1.0 / spec.alpha)) * a + b
+    return math.gamma(1.0 - 1.0 / spec.alpha) * a + b
 
 
 # The distributions of the verification table, one row block each.

@@ -10,12 +10,12 @@ table (the seeding rule is stated in ``_episode``).
 from __future__ import annotations
 
 import csv
+import html
 import json
 import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -511,7 +511,7 @@ def emit_svg_lineplot(result: AggregateResult, path) -> None:
         color = _PALETTE[i % len(_PALETTE)]
         points = " ".join(f"{sx(r.t):.2f},{sy(r.mean_avg_regret):.2f}" for r in rows)
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>')
-        label = escape(f"{policy} {param}".strip())
+        label = html.escape(f"{policy} {param}".strip(), quote=False)
         ly = top + 16 * (i + 1)
         parts.append(f'<line x1="{left + pw + 10}" y1="{ly - 4}" x2="{left + pw + 30}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="2"/>')

@@ -195,8 +195,8 @@ def select_ftpl_bounded(
     """RCB: argmax of mean_i + sqrt((2+eps) log T / (1 v T_i)) * Z_i with Z in [-1, 1]."""
     if not spec.bounded_support:
         raise ValueError("select_ftpl_bounded requires a bounded perturbation")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be > 0")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     z = dist.sample_array(spec, rng, state.num_arms)
     scale = _scales(FTPL_BOUNDED, state.counts, _width_sq(FTPL_BOUNDED, horizon, epsilon))
     theta = _index(FTPL_BOUNDED, state.means_hat, scale, z)

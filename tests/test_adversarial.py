@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import hypothesis
 import numpy as np
@@ -165,6 +166,36 @@ class TestFtplMc:
     def test_floor_domain(self):
         with pytest.raises(ValueError):
             adv.floor_probabilities(np.full(4, 0.25), 0.3)
+
+    @pytest.mark.parametrize("spec", [dist.gumbel(), dist.gaussian()], ids=lambda s: s.kind)
+    def test_argmax_counts_draw_a_piece_at_a_time(self, spec):
+        # 2e5 rows of K=5 are 8 MB a temporary if drawn at once; in pieces of
+        # _PIECE draws, the sampler and the index hold at most five pieces.
+        G = np.random.default_rng(0).normal(size=5)
+        tracemalloc.start()
+        try:
+            counts = adv._argmax_counts(G, 1.0, spec, 200_000, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 200_000
+        assert peak <= 5 * dist._PIECE * 8
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: adv.choice_prob_shannon(np.zeros(3), math.inf),
+        lambda: adv.choice_prob_tsallis(np.zeros(3), math.inf, 0.5),
+        lambda: st.select_ftpl_bounded(
+            st.LearnerState.fresh(2), dist.uniform(), 100, math.inf, np.random.default_rng(0)
+        ),
+    ],
+    ids=["shannon-eta", "tsallis-eta", "ftpl_bounded-epsilon"],
+)
+def test_infinite_parameter_rejected(call):
+    with pytest.raises(ValueError, match="finite"):
+        call()
 
 
 EPS = np.finfo(float).eps

@@ -114,6 +114,11 @@ class TestTwoArmCorrespondence:
         p = adv.choice_prob_shannon(np.array([1.0, 0.0]), 1.0)
         assert ct.two_arm_cdf_from_regularizer(ct.SHANNON, 1.0) == pytest.approx(p[0], abs=1e-9)
 
+    @pytest.mark.parametrize("z, expected", [(-800.0, 0.0), (800.0, 1.0)])
+    def test_shannon_far_out_saturates(self, z, expected):
+        # e^800 overflows a double; the logistic must not.
+        assert ct.two_arm_cdf_from_regularizer(ct.SHANNON, z) == expected
+
     def test_tsallis_symmetric_point(self):
         for alpha in (0.3, 0.5, 0.9):
             assert ct.two_arm_cdf_from_regularizer(ct.TSALLIS, 0.0, alpha) == pytest.approx(

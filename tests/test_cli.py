@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import perturbed_bandits
 from perturbed_bandits import cli
 from perturbed_bandits import harness as hz
 
@@ -297,3 +302,12 @@ class TestErrorHandling:
         path = write_config(tmp_path, dict(STOCH_CONFIG, K=0))
         assert cli.main(["stochastic", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_import_loads_only_what_commands_use():
+    # A fresh interpreter, so that no other test's imports count.
+    src = str(Path(perturbed_bandits.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, perturbed_bandits.cli; print(sorted({'scipy', 'urllib.request'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
