@@ -299,9 +299,12 @@ def run_gbpa(
 
 
 def regret_at_checkpoints(rewards: np.ndarray, arms: np.ndarray, checkpoints) -> np.ndarray:
-    """Realized regret against the best fixed arm at each prefix length."""
+    """Realized regret against the best fixed arm at each prefix length in
+    [1, len(arms)]."""
+    rows = np.asarray(checkpoints, dtype=np.int64) - 1
+    if np.any((rows < 0) | (rows >= arms.size)):
+        raise ValueError(f"checkpoints must lie in [1, {arms.size}], got {(rows + 1).tolist()}")
     rewards = np.asarray(rewards, dtype=float)
     cum = np.cumsum(rewards, axis=0)
     realized = np.cumsum(rewards[np.arange(arms.size), arms])
-    rows = np.asarray(checkpoints, dtype=np.int64) - 1
     return cum[rows].max(axis=1) - realized[rows]

@@ -164,15 +164,6 @@ class DerivativeMatrixChecks:
     off_diagonal_max: float
     tolerance: float
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.symmetry_error <= self.tolerance
-            and self.row_sum_error <= self.tolerance
-            and self.min_tangent_eigenvalue >= -self.tolerance
-            and self.off_diagonal_max < 0.0
-        )
-
 
 def check_derivative_matrix(G: np.ndarray, alpha: float) -> DerivativeMatrixChecks:
     """Symmetry, zero row sums, negative cross effects, and positive

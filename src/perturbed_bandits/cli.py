@@ -120,8 +120,8 @@ def main(argv: list[str] | None = None) -> int:
         config = _resolve_config(args)
         args.out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command][3](args, config)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError, json.JSONDecodeError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -1,8 +1,8 @@
 """Perturbation and reward distributions.
 
 Every distribution used by the bandit algorithms lives here: seeded sampling
-of every kind, hazard-rate suprema, and the density, survival and hazard rate
-of the Gumbel and the Frechet.  Gumbel is the standard one
+of every kind, hazard-rate suprema, and the hazard rate of the Gumbel and the
+Frechet.  Gumbel is the standard one
 (location 0, scale 1).  Weibull and Pareto use the shifted forms
 F(x) = 1 - exp(1 - (1+x)^a) and F(x) = 1 - (1+x)^(-a) on x >= 0, so the
 block-maxima normalizing constants come out with clean closed forms.
@@ -187,54 +187,12 @@ def _inverse_cdf(spec: PerturbationSpec, u):
 
 
 # ---------------------------------------------------------------------------
-# Density and survival of the Gumbel and the Frechet, whose hazard rates are
-# evaluated; every other kind's sup_hazard is a closed form.
-# ---------------------------------------------------------------------------
-
-
-def _density_kind(spec: PerturbationSpec) -> str:
-    if spec.kind not in (GUMBEL, FRECHET):
-        raise ValueError(f"no density or survival for {spec.kind}: only gumbel and frechet have them")
-    return spec.kind
-
-
-def survival(spec: PerturbationSpec, x):
-    """P(Z > x), computed without cancellation in the far upper tail."""
-    kind = _density_kind(spec)
-    x = np.asarray(x, dtype=float)
-    if kind == GUMBEL:
-        # exp(-x) overflows below x ~ -710, where the survival is exactly 1.
-        with np.errstate(over="ignore"):
-            out = -np.expm1(-np.exp(-x))
-    else:
-        with np.errstate(divide="ignore", over="ignore"):
-            out = np.where(x > 0, -np.expm1(-np.maximum(x, 1e-300) ** (-spec.alpha)), 1.0)
-    return out if out.ndim else float(out)
-
-
-def pdf(spec: PerturbationSpec, x):
-    kind = _density_kind(spec)
-    x = np.asarray(x, dtype=float)
-    if kind == GUMBEL:
-        # exp(-x) overflows below x ~ -710, where the density is exactly 0.
-        with np.errstate(over="ignore"):
-            out = np.exp(-x - np.exp(-x))
-    else:
-        # exp(-x^-alpha) first: where it underflows (x <= 0 too) the density is 0.
-        with np.errstate(over="ignore"):
-            decay = np.exp(-(np.maximum(x, 1e-300) ** (-spec.alpha)))
-        xm = np.where(decay > 0.0, x, 1.0)
-        out = np.where(decay > 0.0, spec.alpha * xm ** (-spec.alpha - 1.0) * decay, 0.0)
-    return out if out.ndim else float(out)
-
-
-# ---------------------------------------------------------------------------
 # Hazard rate
 # ---------------------------------------------------------------------------
 
 
 class HazardInterval(NamedTuple):
-    """Analytic bracket for a hazard supremum plus a grid-search estimate."""
+    """Analytic bracket for a hazard supremum plus its exact value."""
 
     lower: float
     upper: float
@@ -242,25 +200,39 @@ class HazardInterval(NamedTuple):
 
 
 def hazard(spec: PerturbationSpec, x):
-    """Hazard rate f(x) / (1 - F(x)); defined at finite x where the density is positive."""
+    """Hazard rate f(x) / (1 - F(x)) of the Gumbel or the Frechet; defined at
+    finite x where the density is positive.
+
+    In y = -log F(x), e^-x for the Gumbel and x^-alpha (x > 0) for the
+    Frechet, the density is a y^p e^-y and the survival 1 - e^-y, with (a, p)
+    = (1, 1) and (alpha, 1 + 1/alpha): the hazard is a y^p / (e^y - 1).
+    """
     if not np.all(np.isfinite(x)):
         raise ValueError("hazard needs finite x")
-    dens = np.asarray(pdf(spec, x), dtype=float)
-    surv = np.asarray(survival(spec, x), dtype=float)
-    if np.any(surv <= 0.0):
+    if spec.kind not in (GUMBEL, FRECHET):
+        raise ValueError(f"no hazard rate for {spec.kind}: only gumbel and frechet have one")
+    x = np.asarray(x, dtype=float)
+    # y is infinite where e^-x or x^-alpha overflows, and at x <= 0 for the
+    # Frechet; there the density is 0 (nan here, from inf * 0).
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if spec.kind == GUMBEL:
+            y, a, p = np.exp(-x), 1.0, 1.0
+        else:
+            y = np.where(x > 0, np.abs(x) ** -spec.alpha, np.inf)
+            a, p = spec.alpha, 1.0 + 1.0 / spec.alpha
+        density = a * y**p * np.exp(-y)
+    if np.any(y == 0.0):
         raise ValueError("hazard undefined where the CDF equals 1")
-    if np.any(dens <= 0.0):
+    if not np.all(density > 0.0):
         raise ValueError("hazard undefined where the density vanishes")
-    out = dens / surv
+    out = density / -np.expm1(-y)
     return out if out.ndim else float(out)
 
 
 def sup_hazard(spec: PerturbationSpec):
-    """Supremum of the hazard rate.
-
-    Returns a float where a closed form exists.  The Frechet hazard has no
-    closed-form supremum; a :class:`HazardInterval` bracketing it, together
-    with a geometric-grid estimate, is returned instead.
+    """Supremum of the hazard rate: a float, except for the Frechet, whose
+    supremum solves an equation with no closed-form root; for it a
+    :class:`HazardInterval` holds an analytic bracket and the exact value.
     """
     kind = spec.kind
     if kind not in _BOUNDED_HAZARD_KINDS:
@@ -278,15 +250,19 @@ def sup_hazard(spec: PerturbationSpec):
         return spec.alpha
     if kind == PARETO:
         return spec.alpha
-    # Frechet: sup lies in (alpha/(e-1), 2*alpha); hazard decays polynomially
-    # away from the mode, so a geometric grid near the origin captures it.
-    # The density underflows to 0 close to the origin; those points are
-    # nowhere near the supremum and are skipped.
+    # Frechet: the hazard alpha y^c / (e^y - 1), c = 1 + 1/alpha, is largest
+    # where c (1 - e^-y) = y.  That residual is concave and negative at y = c,
+    # so Newton's method from there descends monotonically to its root; stop
+    # when an iterate no longer descends.
     a = spec.alpha
-    grid = np.geomspace(1e-3, 50.0, 10_000)
-    grid = grid[np.asarray(pdf(spec, grid)) > 0.0]
-    est = float(np.max(hazard(spec, grid)))
-    return HazardInterval(lower=a / (math.e - 1.0), upper=2.0 * a, estimate=est)
+    c = 1.0 + 1.0 / a
+    y = c
+    while True:
+        nxt = y - (c * -math.expm1(-y) - y) / (c * math.exp(-y) - 1.0)
+        if not nxt < y:
+            break
+        y = nxt
+    return HazardInterval(lower=a / (math.e - 1.0), upper=2.0 * a, estimate=a * y**c / math.expm1(y))
 
 
 # ---------------------------------------------------------------------------

@@ -440,27 +440,6 @@ def emit_csv(result: AggregateResult, path) -> None:
             writer.writerow([r.policy, r.param, r.t, repr(r.mean_avg_regret), repr(r.stderr), r.episodes, r.seed])
 
 
-def parse_csv(path) -> AggregateResult:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if ",".join(header) != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header in {path}: {header}")
-        rows = tuple(
-            ResultRow(
-                policy=rec[0],
-                param=rec[1],
-                t=int(rec[2]),
-                mean_avg_regret=float(rec[3]),
-                stderr=float(rec[4]),
-                episodes=int(rec[5]),
-                seed=int(rec[6]),
-            )
-            for rec in reader
-        )
-    return AggregateResult(rows=rows)
-
-
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
 
 

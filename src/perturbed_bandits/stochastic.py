@@ -32,10 +32,6 @@ class BanditInstance:
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
 
-    @property
-    def num_arms(self) -> int:
-        return self.means.size
-
     def gaps(self) -> np.ndarray:
         """Sub-optimality gaps: best mean minus each arm's mean."""
         return self.means.max() - self.means
@@ -52,10 +48,6 @@ class LearnerState:
     @classmethod
     def fresh(cls, num_arms: int) -> "LearnerState":
         return cls(counts=np.zeros(num_arms, dtype=np.int64), means_hat=np.zeros(num_arms), t=0)
-
-    @property
-    def num_arms(self) -> int:
-        return self.counts.size
 
 
 @dataclass(frozen=True)
@@ -102,10 +94,6 @@ class RegretTrace:
     @property
     def final(self) -> float:
         return self.regret(self.arms.size)
-
-    @property
-    def final_counts(self) -> np.ndarray:
-        return np.bincount(self.arms, minlength=self.gaps.size)
 
 
 def _argmax_random_ties(values: np.ndarray, rng: np.random.Generator) -> int:
@@ -158,33 +146,6 @@ def _index(kind: str, means: np.ndarray, scale: np.ndarray, z: np.ndarray | floa
     return means + z / scale
 
 
-def select_ucb1(state: LearnerState, horizon: int) -> int:
-    """Arm with the largest upper confidence bound mean + sqrt(2 log T / T_i);
-    unpulled arms come first (lowest index among them)."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    scale = _scales(UCB1, state.counts, _width_sq(UCB1, horizon, 0.0))
-    return int(_index(UCB1, state.means_hat, scale, None).argmax())
-
-
-def select_thompson_gaussian(state: LearnerState, rng: np.random.Generator) -> int:
-    """Sample theta_i ~ N(mean_i, 1 / (1 v T_i)) per arm and play the argmax."""
-    return select_ftpl_unbounded(state, dist.gaussian(1.0), rng)
-
-
-def select_ftpl_unbounded(state: LearnerState, spec: PerturbationSpec, rng: np.random.Generator) -> int:
-    """Play argmax of mean_i + Z_i / sqrt(1 v T_i) with fresh i.i.d. Z.
-
-    With a unit Gaussian this is distributionally (and, under coupled seeds,
-    bitwise) identical to Gaussian Thompson sampling.
-    """
-    if spec.bounded_support:
-        raise ValueError("bounded perturbations need the widened rcb scaling; see select_ftpl_bounded")
-    z = dist.sample_array(spec, rng, state.num_arms)
-    theta = _index(FTPL_UNBOUNDED, state.means_hat, _scales(FTPL_UNBOUNDED, state.counts, 0.0), z)
-    return _argmax_random_ties(theta, rng)
-
-
 def select_ftpl_bounded(
     state: LearnerState,
     spec: PerturbationSpec,
@@ -197,7 +158,7 @@ def select_ftpl_bounded(
         raise ValueError("select_ftpl_bounded requires a bounded perturbation")
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
-    z = dist.sample_array(spec, rng, state.num_arms)
+    z = dist.sample_array(spec, rng, state.counts.size)
     scale = _scales(FTPL_BOUNDED, state.counts, _width_sq(FTPL_BOUNDED, horizon, epsilon))
     theta = _index(FTPL_BOUNDED, state.means_hat, scale, z)
     return _argmax_random_ties(theta, rng)

@@ -380,3 +380,11 @@ class TestRunGbpa:
         arms = np.full(100, 1)  # always the wrong arm
         out = adv.regret_at_checkpoints(rewards, arms, [10, 100])
         np.testing.assert_allclose(out, [10.0, 100.0])
+
+    @pytest.mark.parametrize("checkpoints", [[0, 1, 5], [1, 6], [-1], [5, 0]])
+    def test_regret_at_checkpoints_outside_the_run_rejected(self, checkpoints):
+        # Checkpoint 0 would read row -1 (the regret at T), and one past the
+        # run would raise a bare IndexError.
+        rewards = adv.make_single_best_arm_rewards(5, 2)
+        with pytest.raises(ValueError, match=r"checkpoints must lie in \[1, 5\]"):
+            adv.regret_at_checkpoints(rewards, np.ones(5, dtype=np.int64), checkpoints)

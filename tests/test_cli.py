@@ -10,6 +10,8 @@ import perturbed_bandits
 from perturbed_bandits import cli
 from perturbed_bandits import harness as hz
 
+from csv_results import parse_csv
+
 STOCH_CONFIG = {
     "mode": "stochastic",
     "seed": 11,
@@ -86,7 +88,7 @@ class TestStochasticCommand:
         assert (out / "stochastic_regret.csv").exists()
         assert (out / "stochastic_regret.svg").exists()
         assert "stochastic_regret.csv" in capsys.readouterr().out
-        result = hz.parse_csv(out / "stochastic_regret.csv")
+        result = parse_csv(out / "stochastic_regret.csv")
         assert result == hz.run_experiment(hz.config_from_dict(STOCH_CONFIG))
 
     def test_seed_override_changes_output(self, tmp_path):
@@ -99,7 +101,7 @@ class TestStochasticCommand:
             )
             == 0
         )
-        rows = hz.parse_csv(b / "stochastic_regret.csv").rows
+        rows = parse_csv(b / "stochastic_regret.csv").rows
         assert all(r.seed == 99 for r in rows)
         assert (a / "stochastic_regret.csv").read_bytes() != (
             b / "stochastic_regret.csv"
@@ -142,7 +144,7 @@ class TestAdversarialCommand:
         config = write_config(tmp_path, ADV_CONFIG)
         out = tmp_path / "run"
         assert cli.main(["adversarial", "--config", str(config), "--out", str(out)]) == 0
-        rows = hz.parse_csv(out / "adversarial_regret.csv").rows
+        rows = parse_csv(out / "adversarial_regret.csv").rows
         assert [r.t for r in rows] == [100, 300]
         assert (out / "adversarial_regret.svg").exists()
 
@@ -153,7 +155,7 @@ class TestGridSearchCommand:
         config = write_config(tmp_path, raw)
         out = tmp_path / "grid"
         assert cli.main(["grid-search", "--config", str(config), "--out", str(out)]) == 0
-        results = hz.parse_csv(out / "grid_results.csv")
+        results = parse_csv(out / "grid_results.csv")
         assert len(results.series()) == 2
         best = json.loads((out / "grid_best.json").read_text())
         assert len(best) == 1
@@ -297,6 +299,20 @@ class TestErrorHandling:
         # the error is raised before the output directory is made, so before
         # the first episode
         assert not out.exists()
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 8.00 TiB for an array", ""])
+    def test_out_of_memory_fails_closed(self, tmp_path, capsys, monkeypatch, message):
+        # A config too large for memory (evt-table at K = 2^40 asks for 8 TiB)
+        # ends in one error line and exit 2; nothing is allocated here.
+        def run_evt_mode(config, path):
+            raise MemoryError(message) if message else MemoryError
+
+        monkeypatch.setattr(hz, "run_evt_mode", run_evt_mode)
+        path = write_config(tmp_path, dict(EVT_CONFIG, K_list=[1 << 40], n_blocks=100))
+        code = cli.main(["evt-table", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == [f"error: {message or 'MemoryError'}"]
 
     def test_invalid_config_contents(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(STOCH_CONFIG, K=0))

@@ -22,7 +22,7 @@ CONTINUOUS_SPECS = [
 ]
 
 
-# The kinds with a density, survival and hazard rate in the module.
+# The kinds with a hazard rate in the module.
 DENSITY_SPECS = [dist.gumbel(), dist.frechet(2.0), dist.frechet(3.0)]
 INVERSE_CDF_SPECS = [spec for spec in CONTINUOUS_SPECS if spec.kind in dist._INVERSE_CDF_KINDS]
 
@@ -48,7 +48,7 @@ def reference_cdf(spec):
 
 
 def reference_law(spec):
-    """scipy.stats' Gumbel or Frechet law for a spec in DENSITY_SPECS."""
+    """scipy.stats' Gumbel or Frechet law for a spec with a hazard rate."""
     return stats.gumbel_r() if spec.kind == dist.GUMBEL else stats.invweibull(spec.alpha)
 
 
@@ -119,7 +119,8 @@ class TestSampling:
 
 class TestClosedForms:
     def test_gumbel_cdf_at_zero(self):
-        assert 1.0 - dist.survival(dist.gumbel(), 0.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
+        # F(0) = 1/e, and the density there is F(0) too: h(0) = (1/e) / (1 - 1/e).
+        assert dist.hazard(dist.gumbel(), 0.0) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-15)
 
     def test_frechet_quantile(self):
         assert dist._inverse_cdf(dist.frechet(2.0), math.exp(-1.0)) == pytest.approx(1.0, abs=1e-12)
@@ -130,30 +131,9 @@ class TestClosedForms:
         u = np.linspace(0.005, 0.995, 100)
         np.testing.assert_allclose(reference_cdf(spec)(dist._inverse_cdf(spec, u)), u, atol=1e-9)
 
-    @pytest.mark.parametrize("spec", DENSITY_SPECS, ids=spec_id)
-    def test_cdf_monotone(self, spec):
-        law = reference_law(spec)
-        x = np.linspace(law.ppf(0.001), law.ppf(0.999), 500)
-        c = 1.0 - np.asarray(dist.survival(spec, x))
-        assert np.all(np.diff(c) >= 0.0)
-
-    @pytest.mark.parametrize("spec", DENSITY_SPECS, ids=spec_id)
-    def test_pdf_matches_cdf_derivative(self, spec):
-        x = reference_law(spec).ppf(np.linspace(0.05, 0.95, 50))
-        h = 1e-6
-        fd = (np.asarray(dist.survival(spec, x - h)) - np.asarray(dist.survival(spec, x + h))) / (2 * h)
-        np.testing.assert_allclose(dist.pdf(spec, x), fd, rtol=1e-4, atol=1e-8)
-
-    @pytest.mark.parametrize("spec", DENSITY_SPECS, ids=spec_id)
-    def test_density_and_survival_match_scipy(self, spec):
-        law = reference_law(spec)
-        x = law.ppf(np.linspace(0.001, 0.999, 200))
-        np.testing.assert_allclose(dist.pdf(spec, x), law.pdf(x), rtol=1e-12)
-        np.testing.assert_allclose(dist.survival(spec, x), law.sf(x), rtol=1e-12)
-
     def test_rademacher_has_no_density(self):
-        with pytest.raises(ValueError, match="no density"):
-            dist.pdf(dist.rademacher(), 0.0)
+        with pytest.raises(ValueError, match="no hazard rate"):
+            dist.hazard(dist.rademacher(), 0.0)
 
     @pytest.mark.parametrize(
         "spec",
@@ -161,21 +141,23 @@ class TestClosedForms:
         ids=spec_id,
     )
     def test_only_gumbel_and_frechet_have_a_density(self, spec):
-        for fn in (dist.pdf, dist.survival, dist.hazard):
-            with pytest.raises(ValueError, match="only gumbel and frechet"):
-                fn(spec, 0.5)
+        # Their hazard is the one the module writes out; every other kind's
+        # sup_hazard is a closed form.
+        with pytest.raises(ValueError, match="only gumbel and frechet"):
+            dist.hazard(spec, 0.5)
 
-    # (spec, x, P(Z > x)) with the reference worked out independently of the
-    # module; at every x the CDF rounds to within a few ulps of 1, so 1 - cdf
-    # keeps at most a few digits of it (none where it is below 1e-16).
+    # (spec, x, h(x)) with the reference worked out independently of the
+    # module, where the CDF rounds to within a few ulps of 1: the Gumbel's
+    # h = y / (e^y - 1) ~ 1 - y/2 at y = e^-40, and the Frechet(2)'s
+    # h = 2 y^1.5 / (e^y - 1) ~ 2 sqrt(y) (1 - y/2) at y = 1e-8.
     FAR_TAILS = [
-        (dist.gumbel(), 40.0, math.exp(-40.0)),
-        (dist.frechet(2.0), 1e4, 1e-8 - 0.5e-16),
+        (dist.gumbel(), 40.0, 1.0 - 0.5 * math.exp(-40.0)),
+        (dist.frechet(2.0), 1e4, 2e-4 * (1.0 - 0.5e-8)),
     ]
 
     @pytest.mark.parametrize("spec, x, expected", FAR_TAILS, ids=[spec_id(c[0]) for c in FAR_TAILS])
-    def test_far_tail_survival(self, spec, x, expected):
-        assert dist.survival(spec, x) == pytest.approx(expected, rel=1e-12)
+    def test_far_tail_hazard(self, spec, x, expected):
+        assert dist.hazard(spec, x) == pytest.approx(expected, rel=1e-15)
 
 
 class TestHazard:
@@ -189,13 +171,25 @@ class TestHazard:
         assert dist.hazard(dist.frechet(2.0), 1.0) == pytest.approx(2.0 / (math.e - 1.0), rel=1e-9)
 
     def test_hazard_identity(self):
+        # h S = f, with scipy's survival S and density f.
         for spec in DENSITY_SPECS:
-            x = reference_law(spec).ppf(np.linspace(0.05, 0.95, 20))
-            np.testing.assert_allclose(
-                np.asarray(dist.hazard(spec, x)) * np.asarray(dist.survival(spec, x)),
-                dist.pdf(spec, x),
-                rtol=1e-9,
-            )
+            law = reference_law(spec)
+            x = law.ppf(np.linspace(0.05, 0.95, 20))
+            np.testing.assert_allclose(np.asarray(dist.hazard(spec, x)) * law.sf(x), law.pdf(x), rtol=1e-9)
+
+    # (spec, grid): the Gumbel from its far left to where its CDF rounds to 1,
+    # the Frechet from near its origin far into its tail.
+    SCIPY_GRIDS = [
+        (dist.gumbel(), np.linspace(-5.0, 30.0, 2001)),
+        (dist.frechet(1.5), np.geomspace(0.2, 1e6, 2001)),
+        (dist.frechet(2.0), np.geomspace(0.2, 1e6, 2001)),
+        (dist.frechet(3.0), np.geomspace(0.2, 1e6, 2001)),
+    ]
+
+    @pytest.mark.parametrize("spec, x", SCIPY_GRIDS, ids=[spec_id(c[0]) for c in SCIPY_GRIDS])
+    def test_hazard_matches_scipy(self, spec, x):
+        law = reference_law(spec)
+        np.testing.assert_allclose(dist.hazard(spec, x), law.pdf(x) / law.sf(x), rtol=1e-13)
 
     def test_hazard_undefined_past_support(self):
         # Far enough out, the survival rounds to 0.
@@ -204,25 +198,32 @@ class TestHazard:
                 dist.hazard(spec, x)
 
     def test_frechet_density_vanishes_near_zero(self):
-        # Where exp(-x^-alpha) underflows, x^(-alpha-1) overflows; there, as at
-        # x <= 0, the density is 0 and the survival 1, with no warning.
+        # Where exp(-x^-alpha) underflows, x^-alpha may overflow; there, as at
+        # x <= 0 (x = -1 included, where x^-2 would be 1), the density is 0,
+        # with no warning.
+        # For alpha = 2, exp(-x^-2) underflows between x = 0.040 and 0.036.
         near_zero = [-1.0, 0.0, 1e-300, 1e-200, 1e-120]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert dist.pdf(dist.frechet(2.0), 1e-120) == 0.0
-            np.testing.assert_array_equal(dist.pdf(dist.frechet(1.5), near_zero), 0.0)
-            np.testing.assert_array_equal(dist.survival(dist.frechet(1.5), near_zero), 1.0)
+            for spec in (dist.frechet(1.5), dist.frechet(2.0)):
+                for x in near_zero:
+                    with pytest.raises(ValueError, match="density vanishes"):
+                        dist.hazard(spec, x)
+                with pytest.raises(ValueError, match="density vanishes"):
+                    dist.hazard(spec, near_zero)
             with pytest.raises(ValueError, match="density vanishes"):
-                dist.hazard(dist.frechet(2.0), 1e-120)
+                dist.hazard(dist.frechet(2.0), 0.036)
+            assert dist.hazard(dist.frechet(2.0), 0.040) > 0.0
 
     def test_gumbel_density_vanishes_far_left(self):
-        # exp(-x) overflows below x ~ -710; there the density is 0 and the
-        # survival 1, with no warning.
+        # exp(-x) overflows below x ~ -710, and the density exp(-x - e^-x)
+        # underflows below x ~ -6.6; there the density is 0, with no warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert dist.pdf(dist.gumbel(), -800.0) == 0.0
-            assert dist.survival(dist.gumbel(), -800.0) == 1.0
-            np.testing.assert_array_equal(dist.survival(dist.gumbel(), [-800.0, -1e300]), 1.0)
+            for x in (-800.0, -1e300, -6.7, [-800.0, -1e300]):
+                with pytest.raises(ValueError, match="density vanishes"):
+                    dist.hazard(dist.gumbel(), x)
+            assert dist.hazard(dist.gumbel(), -6.5) > 0.0
 
     def test_gumbel_hazard_far_left_rejected(self):
         with warnings.catch_warnings():
@@ -285,7 +286,24 @@ class TestHazard:
         assert interval.upper == 4.0
         assert interval.lower < interval.estimate < interval.upper
         # The estimate criterion 8 and "eta": "auto" read, to the last bit.
-        assert interval.estimate == 1.1702082635103743
+        assert interval.estimate == 1.170208296409094
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0])
+    def test_sup_hazard_frechet_exact(self, alpha):
+        # scipy's pdf/sf hazard on a fine grid stays at or below the exact
+        # supremum, and meets it at its argmax x* = y*^(-1/alpha), where y*
+        # solves (1 + 1/alpha)(1 - e^-y) = y (found here by bisection).
+        law = stats.invweibull(alpha)
+        sup = dist.sup_hazard(dist.frechet(alpha)).estimate
+        c = 1.0 + 1.0 / alpha
+        lo, hi = 1e-3, c
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if c * -math.expm1(-mid) > mid else (lo, mid)
+        x_star = lo ** (-1.0 / alpha)
+        grid = np.geomspace(x_star / 20.0, x_star * 20.0, 20_001)
+        assert np.max(law.pdf(grid) / law.sf(grid)) <= sup * (1.0 + 1e-14)
+        assert law.pdf(x_star) / law.sf(x_star) == pytest.approx(sup, rel=1e-9)
 
     def test_sup_hazard_unbounded_cases_rejected(self):
         with pytest.raises(ValueError):

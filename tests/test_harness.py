@@ -11,6 +11,8 @@ from perturbed_bandits import extremes as ex
 from perturbed_bandits import harness as hz
 from perturbed_bandits import stochastic as st
 
+from csv_results import parse_csv
+
 
 def small_stochastic_config(**overrides):
     raw = {
@@ -296,7 +298,7 @@ class TestEmission:
         hz.emit_csv(result, path)
         first = path.read_text().splitlines()[0]
         assert first == "policy,param,t,mean_avg_regret,stderr,episodes,seed"
-        assert hz.parse_csv(path) == result
+        assert parse_csv(path) == result
 
     def test_single_row_two_lines(self, tmp_path):
         row = hz.ResultRow("ucb1", "", 10, 0.5, 0.1, 3, 7)
@@ -330,7 +332,7 @@ class TestEmission:
         result = hz.AggregateResult(rows=(row,))
         path = tmp_path / "quoted.csv"
         hz.emit_csv(result, path)
-        assert hz.parse_csv(path) == result
+        assert parse_csv(path) == result
 
 
 class TestVerificationModes:

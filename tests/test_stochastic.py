@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 from scipy.special import ndtr
 
@@ -16,6 +16,57 @@ def two_arm_state(means_hat, counts):
         means_hat=np.asarray(means_hat, dtype=float),
         t=int(np.sum(counts)),
     )
+
+
+def reference_arm(policy, state, horizon, rng):
+    """The arm a policy picks, computed from the paper's index formulas without
+    the module's index helpers:
+
+    * UCB1: argmax of mean_i + sqrt(2 log T / T_i), unpulled arms first and
+      ties going to the lowest index;
+    * FTPL and Thompson sampling: argmax of mean_i + Z_i / sqrt(1 v T_i), Z a
+      unit Gaussian for Thompson sampling;
+    * RCB: argmax of mean_i + sqrt((2 + eps) log T / (1 v T_i)) Z_i.
+
+    A perturbed round draws K fresh values of ``dist.sample_array``.  Ties are
+    broken to the lowest index, which matches ``play`` only for UCB1 and the
+    tie-free perturbations: ``play`` breaks a perturbed tie at random.
+    """
+    means, counts = state.means_hat, state.counts
+    if policy.kind == "ucb1":
+        if np.any(counts == 0):
+            return int(np.argmax(counts == 0))
+        return int(np.argmax(means + np.sqrt(2.0 * math.log(horizon) / counts)))
+    spec = dist.gaussian(1.0) if policy.kind == "thompson" else policy.spec
+    z = dist.sample_array(spec, rng, counts.size)
+    pulls = np.maximum(counts, 1)
+    if policy.kind == "rcb":
+        return int(np.argmax(means + np.sqrt((2.0 + policy.epsilon) * math.log(horizon) / pulls) * z))
+    return int(np.argmax(means + z / np.sqrt(pulls)))
+
+
+def reference_play(rewards, policy, rng):
+    """``play`` written with ``reference_arm``: the arms of one episode against
+    a (T, K) table whose entry [n, i] is arm i's reward at its n-th pull."""
+    T, K = rewards.shape
+    state = st.LearnerState.fresh(K)
+    arms = np.empty(T, dtype=np.int64)
+    for t in range(T):
+        arms[t] = reference_arm(policy, state, T, rng)
+        st.update(state, arms[t], rewards[state.counts[arms[t]], arms[t]])
+    return arms
+
+
+# The policies whose perturbations never tie, so that play draws nothing but
+# perturbations from its generator.  RCB's width (2 + eps) log T is 0 at
+# T = 1, where its index is the mean alone, so RCB ties there.
+TIE_FREE_POLICIES = [
+    st.PolicyConfig("ucb1"),
+    st.PolicyConfig("thompson"),
+    st.PolicyConfig("ftpl", spec=dist.gaussian(0.5)),
+    st.PolicyConfig("ftpl", spec=dist.double_exponential(1.0)),
+    st.PolicyConfig("rcb", spec=dist.uniform(), epsilon=0.25),
+]
 
 
 def seeded_episode(instance, policy, seed):
@@ -71,42 +122,47 @@ class TestPolicyConfig:
 
 
 class TestSelectUcb1:
+    # The reference selector, pinned to the UCB1 formula; TestPlayOracle pins
+    # play to the reference.
+    UCB1 = st.PolicyConfig("ucb1")
+
     def test_symmetric_tie_to_lowest_index(self):
-        assert st.select_ucb1(two_arm_state([0.0, 0.0], [1, 1]), 100) == 0
+        assert reference_arm(self.UCB1, two_arm_state([0.0, 0.0], [1, 1]), 100, None) == 0
 
     def test_index_formula(self):
         # indices: 1 + sqrt(2 log 100 / 4) = 2.5174 vs 0 + sqrt(2 log 100) = 3.0349
-        assert st.select_ucb1(two_arm_state([1.0, 0.0], [4, 1]), 100) == 1
+        assert reference_arm(self.UCB1, two_arm_state([1.0, 0.0], [4, 1]), 100, None) == 1
 
     def test_unpulled_arm_first(self):
-        assert st.select_ucb1(two_arm_state([0.0, 0.9], [0, 5]), 100) == 0
+        assert reference_arm(self.UCB1, two_arm_state([0.0, 0.9], [0, 5]), 100, None) == 0
 
 
 class TestRandomizedSelection:
+    # The reference selector, pinned to the Thompson and FTPL laws.
+    THOMPSON = st.PolicyConfig("thompson")
+    GAUSSIAN_FTPL = st.PolicyConfig("ftpl", spec=dist.gaussian(1.0))
+
+    def thompson(self, state, rng):
+        return reference_arm(self.THOMPSON, state, 100, rng)
+
     def test_symmetric_state_balanced(self):
         rng = np.random.default_rng(0)
         state = two_arm_state([0.0, 0.0], [3, 3])
-        freq = np.mean([st.select_thompson_gaussian(state, rng) for _ in range(10**5)])
+        freq = np.mean([self.thompson(state, rng) for _ in range(10**5)])
         assert abs(freq - 0.5) < 0.005
 
     def test_thompson_gap_probability(self):
         # P(N(0, 1/4) > N(1, 1/4)) = ndtr(-sqrt(2)).
         rng = np.random.default_rng(1)
         state = two_arm_state([1.0, 0.0], [4, 4])
-        freq = np.mean([st.select_thompson_gaussian(state, rng) == 1 for _ in range(10**5)])
+        freq = np.mean([self.thompson(state, rng) == 1 for _ in range(10**5)])
         assert abs(freq - ndtr(-math.sqrt(2.0))) < 0.003
 
     def test_fresh_state_uses_unit_variance(self):
         rng = np.random.default_rng(2)
         state = two_arm_state([0.0, 0.0], [0, 0])
-        freq = np.mean([st.select_thompson_gaussian(state, rng) for _ in range(10**5)])
+        freq = np.mean([self.thompson(state, rng) for _ in range(10**5)])
         assert abs(freq - 0.5) < 0.005
-
-    def test_ftpl_unbounded_rejects_bounded_spec(self):
-        with pytest.raises(ValueError):
-            st.select_ftpl_unbounded(
-                two_arm_state([0.0, 0.0], [1, 1]), dist.uniform(), np.random.default_rng(0)
-            )
 
     def test_ftpl_bounded_rejects_unbounded_spec(self):
         with pytest.raises(ValueError):
@@ -115,23 +171,21 @@ class TestRandomizedSelection:
             )
 
     def test_gaussian_ftpl_equals_thompson_under_coupled_seeds(self):
-        state = two_arm_state([0.3, 0.1], [5, 2])
-        picks_a = [
-            st.select_thompson_gaussian(state, np.random.default_rng(s)) for s in range(2000)
-        ]
-        picks_b = [
-            st.select_ftpl_unbounded(state, dist.gaussian(1.0), np.random.default_rng(s))
-            for s in range(2000)
-        ]
-        assert picks_a == picks_b
+        # play's own Thompson and Gaussian-FTPL paths, over many seeds.
+        rewards = dist.RewardModel().sample_table([0.3, 0.1], 20, np.random.default_rng(0))
+        for s in range(200):
+            np.testing.assert_array_equal(
+                st.play(rewards, self.THOMPSON, np.random.default_rng(s)),
+                st.play(rewards, self.GAUSSIAN_FTPL, np.random.default_rng(s)),
+            )
 
     def test_shift_invariance(self):
         base = two_arm_state([0.3, 0.1], [5, 2])
         shifted = two_arm_state([10.3, 10.1], [5, 2])
         for s in range(200):
-            assert st.select_ftpl_unbounded(
-                base, dist.gaussian(1.0), np.random.default_rng(s)
-            ) == st.select_ftpl_unbounded(shifted, dist.gaussian(1.0), np.random.default_rng(s))
+            assert reference_arm(self.GAUSSIAN_FTPL, base, 100, np.random.default_rng(s)) == reference_arm(
+                self.GAUSSIAN_FTPL, shifted, 100, np.random.default_rng(s)
+            )
 
     def test_rcb_rademacher_is_random_confidence_choice(self):
         state = two_arm_state([0.5, 0.2], [4, 9])
@@ -218,8 +272,9 @@ class TestRunEpisode:
             ("rcb", dist.uniform()),
         ]:
             trace = seeded_episode(inst, st.PolicyConfig(kind, spec=spec), 3)
-            assert trace.final == float(np.dot(inst.gaps(), trace.final_counts))
-            assert np.sum(trace.final_counts) == inst.horizon
+            counts = np.bincount(trace.arms, minlength=inst.means.size)
+            assert trace.final == float(np.dot(inst.gaps(), counts))
+            assert np.sum(counts) == inst.horizon
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -241,8 +296,9 @@ class TestRunEpisode:
     def test_final_regret_is_gaps_dot_counts(self, policy, means, horizon, model, seed):
         inst = self.make_instance(means, horizon=horizon, model=model)
         trace = seeded_episode(inst, policy, seed)
-        assert trace.final == float(np.dot(inst.gaps(), trace.final_counts))
-        assert np.sum(trace.final_counts) == horizon
+        counts = np.bincount(trace.arms, minlength=inst.means.size)
+        assert trace.final == float(np.dot(inst.gaps(), counts))
+        assert np.sum(counts) == horizon
 
     @pytest.mark.parametrize(
         "policy",
@@ -256,7 +312,7 @@ class TestRunEpisode:
     )
     def test_episode_matches_select_and_update(self, policy):
         # Without ties the episode's block-drawn perturbations are the same
-        # stream as one draw per select_* call, so the arms must agree.
+        # stream as one draw per reference_arm call, so the arms must agree.
         inst = self.make_instance([0.8, 0.4, 0.1, 0.5], horizon=300)
         children = np.random.SeedSequence(21).spawn(2)
         trace = st.run_episode(
@@ -267,22 +323,15 @@ class TestRunEpisode:
         )
         rewards = inst.reward_model.sample_table(inst.means, inst.horizon, np.random.default_rng(children[0]))
         rng = np.random.default_rng(children[1])
-        state = st.LearnerState.fresh(inst.num_arms)
+        state = st.LearnerState.fresh(inst.means.size)
         gaps = inst.gaps()
         assert trace.regret(0) == 0.0
         for t in range(inst.horizon):
-            if policy.kind == "ucb1":
-                arm = st.select_ucb1(state, inst.horizon)
-            elif policy.kind == "thompson":
-                arm = st.select_thompson_gaussian(state, rng)
-            elif policy.kind == "ftpl":
-                arm = st.select_ftpl_unbounded(state, policy.spec, rng)
-            else:
-                arm = st.select_ftpl_bounded(state, policy.spec, inst.horizon, policy.epsilon, rng)
+            arm = reference_arm(policy, state, inst.horizon, rng)
             assert arm == trace.arms[t]
             st.update(state, arm, rewards[state.counts[arm], arm])
             assert trace.regret(t + 1) == float(gaps.dot(state.counts))
-        np.testing.assert_array_equal(state.counts, trace.final_counts)
+        np.testing.assert_array_equal(state.counts, np.bincount(trace.arms, minlength=inst.means.size))
 
     def test_trace_nondecreasing(self):
         inst = self.make_instance([0.8, 0.4, 0.1])
@@ -318,7 +367,7 @@ class TestRunEpisode:
         trace = seeded_episode(inst, st.PolicyConfig("ucb1"), 0)
         delta = inst.means[0]
         assert trace.final == pytest.approx(
-            delta * (inst.horizon - trace.final_counts[0]), abs=1e-9
+            delta * (inst.horizon - np.count_nonzero(trace.arms == 0)), abs=1e-9
         )
 
     def test_thompson_bitwise_equals_gaussian_ftpl(self):
@@ -346,3 +395,23 @@ class TestRunEpisode:
             trace = seeded_episode(inst, pol, s)
             finals += np.array([trace.regret(200) / 200, trace.final / 2000])
         assert finals[1] < finals[0]
+
+
+class TestPlayOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        policy=hs.sampled_from(TIE_FREE_POLICIES),
+        means=hs.lists(hs.floats(0.0, 1.0), min_size=2, max_size=12),
+        horizon=hs.integers(1, 400),
+        model=hs.sampled_from(dist.REWARD_MODELS),
+        seed=hs.integers(0, 2**32 - 1),
+    )
+    def test_play_matches_reference(self, policy, means, horizon, model, seed):
+        # play and the paper-formula reference, on one table and one policy
+        # seed, pick the same arm in every round.
+        assume(policy.kind != "rcb" or horizon > 1)
+        rewards = dist.RewardModel(model).sample_table(means, horizon, np.random.default_rng([seed, 0]))
+        np.testing.assert_array_equal(
+            st.play(rewards, policy, np.random.default_rng([seed, 1])),
+            reference_play(rewards, policy, np.random.default_rng([seed, 1])),
+        )
