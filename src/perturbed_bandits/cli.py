@@ -114,15 +114,23 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    made = []
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
         config = _resolve_config(args)
+        # The directories this call makes, deepest first: a command that fails
+        # leaves none of them empty, and removes none that existed.
+        made = [d for d in (args.out, *args.out.parents) if not d.exists()]
         args.out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command][3](args, config)
     except (OSError, ValueError, MemoryError, json.JSONDecodeError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
+    finally:
+        for d in made:
+            if d.is_dir() and not any(d.iterdir()):
+                d.rmdir()
 
 
 if __name__ == "__main__":

@@ -113,7 +113,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         RewardModel(self.reward_model)  # raises on an unknown reward model
-        if self.adversary not in ADVERSARIES:
+        if not isinstance(self.adversary, str) or self.adversary not in ADVERSARIES:
             raise ValueError(f"unknown adversary: {self.adversary!r}; expected one of {list(ADVERSARIES)}")
         if self.mode in ("stochastic", "adversarial"):
             if self.episodes < 1:

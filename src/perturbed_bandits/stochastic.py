@@ -45,10 +45,6 @@ class LearnerState:
     means_hat: np.ndarray
     t: int = 0
 
-    @classmethod
-    def fresh(cls, num_arms: int) -> "LearnerState":
-        return cls(counts=np.zeros(num_arms, dtype=np.int64), means_hat=np.zeros(num_arms), t=0)
-
 
 @dataclass(frozen=True)
 class PolicyConfig:
@@ -112,25 +108,15 @@ def _argmax_random_ties(values: np.ndarray, rng: np.random.Generator) -> int:
     return best
 
 
-def _width_sq(kind: str, horizon: int, epsilon: float) -> float:
-    """The squared exploration width: 2 log T for UCB1, (2 + eps) log T for RCB."""
-    return ((2.0 + epsilon) if kind == FTPL_BOUNDED else 2.0) * math.log(horizon)
-
-
-def _scale(kind: str, pulls, width_sq: float):
+def _scale(kind: str, pulls, horizon: int, epsilon: float):
     """The scale of the perturbed index at ``pulls`` >= 1 pulls, for one arm
-    or an array of arms: sqrt(width_sq / T_i) for UCB1 and RCB, and sqrt(T_i),
-    which divides Z, for FTPL and Thompson sampling."""
+    or an array of arms: sqrt(w / T_i) for UCB1 and RCB, whose squared width w
+    is 2 log T for UCB1 and (2 + eps) log T for RCB, and sqrt(T_i), which
+    divides Z, for FTPL and Thompson sampling."""
     if kind in (UCB1, FTPL_BOUNDED):
-        return np.sqrt(width_sq / pulls)
+        w = ((2.0 + epsilon) if kind == FTPL_BOUNDED else 2.0) * math.log(horizon)
+        return np.sqrt(w / pulls)
     return np.sqrt(pulls)
-
-
-def _scales(kind: str, counts: np.ndarray, width_sq: float) -> np.ndarray:
-    """``_scale`` of every arm, an unpulled arm counting as pulled once, except
-    under UCB1, whose unpulled arms get an infinite scale so they come first."""
-    scale = _scale(kind, np.maximum(counts, 1), width_sq)
-    return np.where(counts == 0, np.inf, scale) if kind == UCB1 else scale
 
 
 def _index(kind: str, means: np.ndarray, scale: np.ndarray, z: np.ndarray | float | None) -> np.ndarray:
@@ -159,18 +145,9 @@ def select_ftpl_bounded(
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     z = dist.sample_array(spec, rng, state.counts.size)
-    scale = _scales(FTPL_BOUNDED, state.counts, _width_sq(FTPL_BOUNDED, horizon, epsilon))
+    scale = _scale(FTPL_BOUNDED, np.maximum(state.counts, 1), horizon, epsilon)
     theta = _index(FTPL_BOUNDED, state.means_hat, scale, z)
     return _argmax_random_ties(theta, rng)
-
-
-def update(state: LearnerState, arm: int, reward: float) -> LearnerState:
-    """Fold one observed reward into the running average for ``arm``."""
-    n = int(state.counts[arm])
-    state.means_hat[arm] = (float(state.means_hat[arm]) * n + reward) / (n + 1)
-    state.counts[arm] = n + 1
-    state.t += 1
-    return state
 
 
 def theta_support_intervals(
@@ -189,11 +166,8 @@ def theta_support_intervals(
         raise ValueError("support intervals are only defined for bounded perturbations")
     if (horizon is None) != (epsilon is None):
         raise ValueError("pass horizon and epsilon together, or neither")
-    if horizon is None:
-        kind, width_sq = FTPL_UNBOUNDED, 0.0
-    else:
-        kind, width_sq = FTPL_BOUNDED, _width_sq(FTPL_BOUNDED, horizon, epsilon)
-    scale = _scales(kind, state.counts, width_sq)
+    kind = FTPL_UNBOUNDED if horizon is None else FTPL_BOUNDED
+    scale = _scale(kind, np.maximum(state.counts, 1), horizon, epsilon)
     return _index(kind, state.means_hat, scale, -1.0), _index(kind, state.means_hat, scale, 1.0)
 
 
@@ -225,25 +199,28 @@ def play(rewards: np.ndarray, policy: PolicyConfig, policy_rng: np.random.Genera
     that play the same table see identical reward realizations.
     """
     T, K = rewards.shape
-    state = LearnerState.fresh(K)
+    counts = np.zeros(K, dtype=np.int64)
+    means = np.zeros(K)
     arms = np.empty(T, dtype=np.int64)
 
-    kind = policy.kind
-    width_sq = _width_sq(kind, T, policy.epsilon)
-    scale = _scales(kind, state.counts, width_sq)
+    kind, epsilon = policy.kind, policy.epsilon
     if kind == UCB1:
+        # An unpulled arm's scale is infinite, so UCB1 plays every arm once first.
+        scale = np.full(K, np.inf)
         rows = itertools.repeat(None)
     else:
+        scale = _scale(kind, np.ones(K), T, epsilon)
         rows = _perturbation_rows(dist.gaussian(1.0) if kind == THOMPSON else policy.spec, policy_rng, K)
 
-    # Only the played arm's mean and scale change in a round, so the scale is
+    # Only the played arm's mean and scale change in a round, so both are
     # updated in place.
     for t, z in zip(range(T), rows):
-        theta = _index(kind, state.means_hat, scale, z)
+        theta = _index(kind, means, scale, z)
         arm = int(theta.argmax()) if kind == UCB1 else _argmax_random_ties(theta, policy_rng)
-        n = int(state.counts[arm])
-        update(state, arm, rewards[n, arm])
-        scale[arm] = _scale(kind, n + 1.0, width_sq)
+        n = int(counts[arm])
+        means[arm] = (float(means[arm]) * n + rewards[n, arm]) / (n + 1)
+        counts[arm] = n + 1
+        scale[arm] = _scale(kind, n + 1.0, T, epsilon)
         arms[t] = arm
     return arms
 

@@ -188,7 +188,8 @@ class TestFtplMc:
         lambda: adv.choice_prob_shannon(np.zeros(3), math.inf),
         lambda: adv.choice_prob_tsallis(np.zeros(3), math.inf, 0.5),
         lambda: st.select_ftpl_bounded(
-            st.LearnerState.fresh(2), dist.uniform(), 100, math.inf, np.random.default_rng(0)
+            st.LearnerState(np.zeros(2, dtype=np.int64), np.zeros(2)), dist.uniform(), 100, math.inf,
+            np.random.default_rng(0)
         ),
     ],
     ids=["shannon-eta", "tsallis-eta", "ftpl_bounded-epsilon"],

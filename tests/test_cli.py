@@ -273,6 +273,8 @@ class TestErrorHandling:
                 "stochastic", dict(STOCH_CONFIG, potentials=[{"kind": "bogus"}]), [], id="stochastic-potentials"
             ),
             pytest.param("stochastic", dict(STOCH_CONFIG, adversary="iid"), [], id="stochastic-adversary"),
+            pytest.param("adversarial", dict(ADV_CONFIG, adversary=["iid"]), [], id="adversary-list"),
+            pytest.param("adversarial", dict(ADV_CONFIG, adversary={}), [], id="adversary-object"),
             pytest.param("stochastic", dict(STOCH_CONFIG, K_list=[100]), [], id="stochastic-K_list"),
             pytest.param("adversarial", dict(ADV_CONFIG, policies=[{"kind": "ucb1"}]), [], id="adversarial-policies"),
             pytest.param(
@@ -309,10 +311,15 @@ class TestErrorHandling:
 
         monkeypatch.setattr(hz, "run_evt_mode", run_evt_mode)
         path = write_config(tmp_path, dict(EVT_CONFIG, K_list=[1 << 40], n_blocks=100))
-        code = cli.main(["evt-table", "--config", str(path), "--out", str(tmp_path / "out")])
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        code = cli.main(["evt-table", "--config", str(path), "--out", str(kept / "out" / "run")])
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert err == [f"error: {message or 'MemoryError'}"]
+        # the failed command removes the directories it made, and keeps the
+        # empty one that was there before
+        assert kept.is_dir() and not (kept / "out").exists()
 
     def test_invalid_config_contents(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(STOCH_CONFIG, K=0))

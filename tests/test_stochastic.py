@@ -18,6 +18,18 @@ def two_arm_state(means_hat, counts):
     )
 
 
+def fresh_state(num_arms):
+    return st.LearnerState(counts=np.zeros(num_arms, dtype=np.int64), means_hat=np.zeros(num_arms))
+
+
+def reference_update(state, arm, rewards):
+    """Fold arm's next reward, entry [T_arm, arm] of the (T, K) table, into its
+    running mean: mean <- (mean * n + r) / (n + 1) after n pulls."""
+    n = int(state.counts[arm])
+    state.means_hat[arm] = (float(state.means_hat[arm]) * n + rewards[n, arm]) / (n + 1)
+    state.counts[arm] = n + 1
+
+
 def reference_arm(policy, state, horizon, rng):
     """The arm a policy picks, computed from the paper's index formulas without
     the module's index helpers:
@@ -46,14 +58,15 @@ def reference_arm(policy, state, horizon, rng):
 
 
 def reference_play(rewards, policy, rng):
-    """``play`` written with ``reference_arm``: the arms of one episode against
-    a (T, K) table whose entry [n, i] is arm i's reward at its n-th pull."""
+    """``play`` written with ``reference_arm`` and ``reference_update``: the
+    arms of one episode against a (T, K) table whose entry [n, i] is arm i's
+    reward at its n-th pull."""
     T, K = rewards.shape
-    state = st.LearnerState.fresh(K)
+    state = fresh_state(K)
     arms = np.empty(T, dtype=np.int64)
     for t in range(T):
         arms[t] = reference_arm(policy, state, T, rng)
-        st.update(state, arms[t], rewards[state.counts[arms[t]], arms[t]])
+        reference_update(state, arms[t], rewards)
     return arms
 
 
@@ -227,26 +240,6 @@ class TestSupportIntervals:
             st.theta_support_intervals(state, dist.gaussian())
 
 
-class TestUpdate:
-    def test_first_reward(self):
-        state = st.LearnerState.fresh(2)
-        st.update(state, 0, 1.0)
-        assert state.counts[0] == 1 and state.means_hat[0] == 1.0 and state.t == 1
-
-    def test_running_mean(self):
-        state = two_arm_state([0.5, 0.0], [2, 0])
-        st.update(state, 0, 1.0)
-        assert state.means_hat[0] == pytest.approx(2.0 / 3.0)
-        assert state.counts[0] == 3
-
-    def test_mean_is_order_invariant(self):
-        for order in ([0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]):
-            state = st.LearnerState.fresh(1)
-            for r in order:
-                st.update(state, 0, r)
-            assert state.means_hat[0] == pytest.approx(2.0 / 3.0)
-
-
 class TestRunEpisode:
     def make_instance(self, means, horizon=1000, model=dist.GAUSSIAN_SHIFT):
         return st.BanditInstance(
@@ -323,13 +316,13 @@ class TestRunEpisode:
         )
         rewards = inst.reward_model.sample_table(inst.means, inst.horizon, np.random.default_rng(children[0]))
         rng = np.random.default_rng(children[1])
-        state = st.LearnerState.fresh(inst.means.size)
+        state = fresh_state(inst.means.size)
         gaps = inst.gaps()
         assert trace.regret(0) == 0.0
         for t in range(inst.horizon):
             arm = reference_arm(policy, state, inst.horizon, rng)
             assert arm == trace.arms[t]
-            st.update(state, arm, rewards[state.counts[arm], arm])
+            reference_update(state, arm, rewards)
             assert trace.regret(t + 1) == float(gaps.dot(state.counts))
         np.testing.assert_array_equal(state.counts, np.bincount(trace.arms, minlength=inst.means.size))
 
