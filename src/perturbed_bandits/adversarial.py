@@ -4,13 +4,17 @@ The loop samples an arm from the gradient of a smoothed max-potential and
 updates an inverse-probability-weighted estimate of the cumulative rewards.
 Three gradients are available: exponential weights (Shannon entropy),
 Tsallis-entropy FTRL, and Monte-Carlo stochastic smoothing for an arbitrary
-perturbation distribution.
-"""
+perturbation distribution.  The rounds run on lists of K Python floats (at
+K = 10 a numpy call costs more than its arithmetic); the gradients that
+run_gbpa calls also take an array, and then return one."""
 from __future__ import annotations
 
 import math
 import numbers
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -55,20 +59,23 @@ def make_iid_rewards(T: int, K: int, seed: int | np.random.SeedSequence) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def choice_prob_shannon(G: np.ndarray, eta: float) -> np.ndarray:
-    """Softmax of G / eta with max subtraction."""
+def choice_prob_shannon(G, eta: float):
+    """Softmax of G / eta, with G shifted by its max first so no exponent is positive."""
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be finite and > 0, got {eta}")
-    z = np.asarray(G, dtype=float) / eta
-    z = z - z.max()
-    w = np.exp(z)
-    return w / w.sum()
+    scores = G if isinstance(G, list) else np.asarray(G, dtype=float).tolist()
+    top = max(scores)
+    w = [math.exp((g - top) / eta) for g in scores]
+    total = math.fsum(w)
+    p = [x / total for x in w]
+    return p if isinstance(G, list) else np.array(p)
 
 
-def _tsallis_log_terms(gap: np.ndarray, alpha: float) -> np.ndarray:
-    """log of the unnormalized Tsallis terms c gap^(1/(alpha-1)) at gap = lam - G_i;
+def _tsallis_log_terms(gaps, alpha: float) -> list[float]:
+    """log of the unnormalized Tsallis terms c gap^(1/(alpha-1)) at each gap = lam - G_i;
     the prefactor c = ((1-alpha)/alpha)^(1/(alpha-1)) overflows for alpha near 1."""
-    return 1.0 / (alpha - 1.0) * (math.log((1.0 - alpha) / alpha) + np.log(gap))
+    e, c = 1.0 / (alpha - 1.0), math.log((1.0 - alpha) / alpha)
+    return [e * (c + log_gap) for log_gap in map(math.log, gaps)]
 
 
 def _tsallis_gap(p, alpha: float):
@@ -76,51 +83,60 @@ def _tsallis_gap(p, alpha: float):
     return alpha / (1.0 - alpha) * p ** (alpha - 1.0)
 
 
-def _tsallis_log_sum(nu: float, shifted: np.ndarray, alpha: float) -> tuple[float, float]:
+def _tsallis_log_sum(nu: float, shifted: list[float], alpha: float) -> tuple[float, float]:
     """log S(nu) and its nu-derivative, where S is the normalization sum.
 
     Computed via log-sum-exp so the value stays finite even where S itself
-    overflows (alpha near 1, nu far from the root).
+    overflows (alpha near 1, nu far from the root).  Sums are sequential, as
+    numpy's are below 8 terms: theory-check's K = 4 Jacobian reads their bits.
     """
     e = 1.0 / (alpha - 1.0)
-    gap = nu - shifted
-    log_terms = _tsallis_log_terms(gap, alpha)
-    top = float(log_terms.max())
-    w = np.exp(log_terms - top)
-    total = float(w.sum())
+    gaps = [nu - s for s in shifted]
+    log_terms = _tsallis_log_terms(gaps, alpha)
+    top = max(log_terms)
+    w = [math.exp(x - top) for x in log_terms]
+    total = sum(w)
     g = top + math.log(total)
-    dg = float((w * (e / gap)).sum()) / total
+    dg = sum([x * (e / gap) for x, gap in zip(w, gaps)]) / total
     return g, dg
 
 
-def _solve_tsallis_nu(shifted: np.ndarray, alpha: float, nu0: float | None = None) -> float:
+def _tsallis_hi(s0: float, shifted: list[float], alpha: float) -> float:
+    """The bracket's right end: s0 doubled until log S is no longer positive."""
+    hi = s0
+    while _tsallis_log_sum(hi, shifted, alpha)[0] > 0.0:
+        hi *= 2.0
+    return hi
+
+
+def _solve_tsallis_nu(shifted: list[float], alpha: float, nu0: float | None = None) -> float:
     """Root of log S(nu) = 0 on (0, inf).
 
     log S is convex and strictly decreasing in nu, so a Newton step from the
     left of the root never overshoots it; bisection guards the rare step that
-    leaves the bracket.
-    """
-    scale = max(1.0, float(-shifted.min()))
+    leaves the bracket [lo, hi].  hi >= s0 is found once a step at or above s0,
+    a bisection or the exit check needs it."""
+    scale = max(1.0, -min(shifted))
     lo = 1e-300
     at_nu0 = _tsallis_log_sum(nu0, shifted, alpha) if nu0 is not None and nu0 > 0 else None
     if at_nu0 is not None and at_nu0[0] >= 0.0:
         lo = nu0
-    hi = max(lo, 0.0) + scale
-    while _tsallis_log_sum(hi, shifted, alpha)[0] > 0.0:
-        hi *= 2.0
+    s0 = max(lo, 0.0) + scale
+    hi = None  # s0 doubled until log S(hi) <= 0, so hi >= s0
 
     # A warm start from the previous round is usually within a Newton step or
     # two of the root; fall back to the bracket midpoint otherwise.
-    if nu0 is not None and lo <= nu0 <= hi:
-        nu = max(nu0, 1e-12)
-    else:
-        nu = 0.5 * (max(lo, 1e-12) + hi)
+    if nu0 is None or not lo <= nu0 <= s0:
+        hi = _tsallis_hi(s0, shifted, alpha)
+    nu = max(nu0, 1e-12) if hi is None or (nu0 is not None and lo <= nu0 <= hi) else 0.5 * (max(lo, 1e-12) + hi)
     g, dg = at_nu0 if at_nu0 is not None and nu == nu0 else _tsallis_log_sum(nu, shifted, alpha)
     for _ in range(200):
         if abs(g) <= 1e-13:
             break
         step = nu - g / dg if dg < 0.0 else math.inf
-        nu = step if (lo < step < hi and np.isfinite(step)) else 0.5 * (lo + hi)
+        if hi is None and not lo < step < s0:
+            hi = _tsallis_hi(s0, shifted, alpha)
+        nu = step if hi is None or lo < step < hi else 0.5 * (lo + hi)
         g, dg = _tsallis_log_sum(nu, shifted, alpha)
         if g > 0.0:
             lo = nu
@@ -129,82 +145,72 @@ def _solve_tsallis_nu(shifted: np.ndarray, alpha: float, nu0: float | None = Non
     # For alpha near 1 the exponent 1/(alpha-1) amplifies rounding in S(nu)
     # above the residual target even though nu itself is exact to machine
     # precision, so a collapsed bracket also counts as converged.
-    bracket_collapsed = hi - lo <= 16.0 * np.finfo(float).eps * max(1.0, hi)
-    if abs(g) > 1e-12 and not bracket_collapsed:
-        raise ArithmeticError(f"tsallis normalization residual {abs(math.expm1(g)):.2e}")
-    return float(nu)
+    if abs(g) > 1e-12:
+        hi = _tsallis_hi(s0, shifted, alpha) if hi is None else hi
+        if not hi - lo <= 16.0 * sys.float_info.epsilon * max(1.0, hi):
+            raise ArithmeticError(f"tsallis normalization residual {abs(math.expm1(g)):.2e}")
+    return nu
 
 
-def _tsallis_probabilities(
-    G: np.ndarray, eta: float, alpha: float, nu0: float | None = None
-) -> tuple[np.ndarray, float]:
+def _tsallis_probabilities(G: list[float], eta: float, alpha: float, nu0: float | None = None):
     """Tsallis choice probabilities of G at learning rate eta, and the solved nu.
 
     The callers check the inputs.  G/eta is shifted by its max (all <= 0), so
     lam - G_i = nu - shifted_i keeps its digits even when G is large."""
-    shifted = G / eta
-    shifted = shifted - shifted.max()
+    scaled = [g / eta for g in G]
+    top = max(scaled)
+    shifted = [s - top for s in scaled]
     nu = _solve_tsallis_nu(shifted, alpha, nu0)
-    with np.errstate(over="ignore"):
-        p = np.exp(_tsallis_log_terms(nu - shifted, alpha))
-    return p / p.sum(), nu
+    p = [math.exp(x) for x in _tsallis_log_terms([nu - s for s in shifted], alpha)]
+    total = sum(p)
+    return [x / total for x in p], nu
 
 
-def choice_prob_tsallis(G: np.ndarray, eta: float, alpha: float) -> np.ndarray:
+def choice_prob_tsallis(G, eta: float, alpha: float):
     """FTRL gradient for the Tsallis entropy regularizer."""
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be finite and > 0, got {eta}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if not np.all(np.isfinite(G)):
+    scores = np.asarray(G, dtype=float).tolist()
+    if not all(map(math.isfinite, scores)):
         raise ValueError("G must be finite")
-    p = _tsallis_probabilities(np.asarray(G, dtype=float), eta, alpha)[0]
-    if not np.all(np.isfinite(p)):
+    try:
+        p = _tsallis_probabilities(scores, eta, alpha)[0]
+    except (OverflowError, ZeroDivisionError):
+        p = [math.nan]
+    if not all(map(math.isfinite, p)):
         raise ValueError("G is too large for eta")
-    return p
+    return np.array(p)
 
 
-def floor_probabilities(p: np.ndarray, rho: float) -> np.ndarray:
+def floor_probabilities(p: list[float], rho: float) -> list[float]:
     """Raise entries below ``rho`` to it and remove the added mass from the
     remaining entries in proportion to their slack above the floor."""
-    p = np.asarray(p, dtype=float)
-    K = p.size
-    if not 0.0 < rho < 1.0 / K:
+    if not 0.0 < rho < 1.0 / len(p):
         raise ValueError("floor must lie in (0, 1/K)")
-    out = np.maximum(p, rho)
-    excess = out.sum() - 1.0
+    out = [rho if x < rho else x for x in p]
+    excess = math.fsum(out) - 1.0
     if excess > 0.0:
-        slack = out - rho
-        total = slack.sum()
+        slack = [x - rho for x in out]
+        total = math.fsum(slack)
         if total > 0.0:
-            out = out - excess * slack / total
+            out = [x - excess * s / total for x, s in zip(out, slack)]
     return out
 
 
-def choice_prob_ftpl_mc(
-    G: np.ndarray,
-    eta: float,
-    spec: PerturbationSpec,
-    mc_samples: int,
-    rho: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Monte-Carlo estimate of the stochastically smoothed gradient.
-
-    Empirical frequency of argmax(G + eta Z) over ``mc_samples`` perturbation
-    vectors, floored at ``rho`` so the importance-weighted estimator stays
-    bounded.
-    """
+def choice_prob_ftpl_mc(G, eta: float, spec: PerturbationSpec, mc_samples: int, rho: float, rng: np.random.Generator):
+    """Monte-Carlo estimate of the stochastically smoothed gradient: the frequency
+    of argmax(G + eta Z) over ``mc_samples`` perturbation vectors, floored at
+    ``rho`` so the importance-weighted estimator stays bounded."""
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    G = np.asarray(G, dtype=float)
-    counts = _argmax_counts(G, eta, spec, mc_samples, rng)
-    return floor_probabilities(counts / mc_samples, rho)
+    counts = _argmax_counts(np.asarray(G, dtype=float), eta, spec, mc_samples, rng)
+    p = floor_probabilities([c / mc_samples for c in counts.tolist()], rho)
+    return p if isinstance(G, list) else np.array(p)
 
 
-def _argmax_counts(
-    G: np.ndarray, eta: float, spec: PerturbationSpec, mc_samples: int, rng: np.random.Generator
-) -> np.ndarray:
+def _argmax_counts(G: np.ndarray, eta: float, spec: PerturbationSpec, mc_samples: int, rng: np.random.Generator):
     K = G.size
     counts = np.zeros(K, dtype=np.int64)
     chunk = max(1, min(mc_samples, dist._PIECE // K))
@@ -212,8 +218,9 @@ def _argmax_counts(
     while done < mc_samples:
         m = min(chunk, mc_samples - done)
         z = dist.sample_array(spec, rng, (m, K))
-        idx = np.argmax(G + eta * z, axis=1)
-        counts += np.bincount(idx, minlength=K)
+        z *= eta  # in place: G + eta * z, with no temporaries
+        z += G
+        counts += np.bincount(z.argmax(axis=1), minlength=K)
         done += m
     return counts
 
@@ -276,25 +283,31 @@ def run_gbpa(
     T, K = rewards.shape
     rng = np.random.default_rng(seed)
 
-    g_hat = np.zeros(K)
-    arms = np.empty(T, dtype=np.int64)
+    g_hat = [0.0] * K
+    arms = []
 
-    kind = potential.kind
+    kind, eta, alpha = potential.kind, potential.eta, potential.alpha
     rho = 1e-4 / K
     nu = None
-    for t in range(T):
-        if kind == SHANNON:
-            p = choice_prob_shannon(g_hat, potential.eta)
-        elif kind == TSALLIS:
-            p, nu = _tsallis_probabilities(g_hat, potential.eta, potential.alpha, nu)
-        else:
-            p = choice_prob_ftpl_mc(g_hat, potential.eta, potential.spec, potential.mc_samples, rho, rng)
-        u = rng.random()
-        arm = int(p.cumsum().searchsorted(u * p.sum(), side="right"))
-        arm = min(arm, K - 1)
-        g_hat[arm] += rewards[t, arm] / p[arm]
-        arms[t] = arm
-
+    try:
+        for row in rewards.tolist():
+            if kind == SHANNON:
+                p = choice_prob_shannon(g_hat, eta)
+            elif kind == TSALLIS:
+                p, nu = _tsallis_probabilities(g_hat, eta, alpha, nu)
+            else:
+                p = choice_prob_ftpl_mc(g_hat, eta, potential.spec, potential.mc_samples, rho, rng)
+            cum = list(accumulate(p))
+            # u < 1 keeps u * cum[-1] < cum[-1]; the bound K - 1 holds for a NaN total.
+            arm = bisect_right(cum, rng.random() * cum[-1], 0, K - 1)
+            g_hat[arm] += row[arm] / p[arm]
+            arms.append(arm)
+    except ArithmeticError as exc:
+        raise ValueError(f"{potential.label()} at eta={eta:g} failed: {exc}") from None
+    # A NaN or infinity stays in the estimate once it enters it.
+    if not all(map(math.isfinite, g_hat)):
+        raise ValueError(f"{potential.label()} at eta={eta:g}: the reward estimate is not finite")
+    arms = np.array(arms, dtype=np.int64)
     return float(regret_at_checkpoints(rewards, arms, [T])[0]), arms
 
 

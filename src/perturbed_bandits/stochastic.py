@@ -190,7 +190,11 @@ def _perturbation_rows(spec: PerturbationSpec, rng: np.random.Generator, num_arm
     stream: numpy generators fill arrays from the same sequential draws.
     """
     while True:
-        yield from dist.sample_array(spec, rng, (1024, num_arms))
+        with np.errstate(over="ignore"):
+            block = dist.sample_array(spec, rng, (1024, num_arms))
+        if not np.isfinite(block).all():
+            raise ValueError(f"{spec.label()} perturbations overflow to infinity; use a smaller scale")
+        yield from block
 
 
 def play(rewards: np.ndarray, policy: PolicyConfig, policy_rng: np.random.Generator) -> np.ndarray:

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import gbpa_reference as ref
 from perturbed_bandits import adversarial as adv
 from perturbed_bandits import distributions as dist
+from perturbed_bandits import harness as hz
 from perturbed_bandits import stochastic as st
 
 
@@ -49,7 +51,7 @@ class TestShannon:
 class TestTsallis:
     def test_symmetric_two_arm_lambda(self):
         # lam = max(G) + nu, and max(G) = 0 here.
-        lam = adv._solve_tsallis_nu(np.zeros(2), 0.5)
+        lam = adv._solve_tsallis_nu([0.0, 0.0], 0.5)
         assert lam == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_symmetric_probabilities(self):
@@ -61,7 +63,7 @@ class TestTsallis:
         rng = np.random.default_rng(0)
         for _ in range(20):
             G = rng.normal(scale=5.0, size=5)
-            lam = G.max() + adv._solve_tsallis_nu(G - G.max(), 0.5)
+            lam = G.max() + adv._solve_tsallis_nu((G - G.max()).tolist(), 0.5)
             assert lam > G.max()
             c = ((1 - 0.5) / 0.5) ** (1 / (0.5 - 1))
             residual = abs(np.sum(c * (lam - G) ** (1 / (0.5 - 1))) - 1.0)
@@ -165,7 +167,7 @@ class TestFtplMc:
 
     def test_floor_domain(self):
         with pytest.raises(ValueError):
-            adv.floor_probabilities(np.full(4, 0.25), 0.3)
+            adv.floor_probabilities([0.25] * 4, 0.3)
 
     @pytest.mark.parametrize("spec", [dist.gumbel(), dist.gaussian()], ids=lambda s: s.kind)
     def test_argmax_counts_draw_a_piece_at_a_time(self, spec):
@@ -216,8 +218,13 @@ def floored_inputs(draw, low=0.0):
     return weights / weights.sum(), rho
 
 
+def floored(p: np.ndarray, rho: float) -> np.ndarray:
+    return np.array(adv.floor_probabilities(p.tolist(), rho))
+
+
 class TestFloorProbabilities:
-    """Properties of ``floor_probabilities`` for any K, normalized p and rho
+    """Properties of ``floor_probabilities`` (on a list, read back as an
+    array) for any K, normalized p and rho
     in (0, 1/K).  Tolerances come from rounding alone: each of the K entries
     (all at most 1) goes through about five roundings of relative size eps
     (the normalization of p, the slack, the product and quotient, the
@@ -229,19 +236,19 @@ class TestFloorProbabilities:
     @given(floored_inputs())
     def test_sums_to_one(self, inputs):
         p, rho = inputs
-        assert abs(adv.floor_probabilities(p, rho).sum() - 1.0) <= 8 * p.size * EPS
+        assert abs(floored(p, rho).sum() - 1.0) <= 8 * p.size * EPS
 
     @settings(max_examples=300, deadline=None)
     @given(floored_inputs())
     def test_every_entry_at_least_the_floor(self, inputs):
         p, rho = inputs
-        assert adv.floor_probabilities(p, rho).min() >= rho - 8 * EPS
+        assert floored(p, rho).min() >= rho - 8 * EPS
 
     @settings(max_examples=300, deadline=None)
     @given(floored_inputs())
     def test_order_kept(self, inputs):
         p, rho = inputs
-        out = adv.floor_probabilities(p, rho)
+        out = floored(p, rho)
         assert np.all(np.diff(out[np.argsort(p, kind="stable")]) >= -8 * EPS)
 
     @settings(max_examples=300, deadline=None)
@@ -250,14 +257,14 @@ class TestFloorProbabilities:
         p, _ = inputs
         rho = fraction * p.min()
         hypothesis.assume(0.0 < rho < 1.0 / p.size)
-        np.testing.assert_allclose(adv.floor_probabilities(p, rho), p, rtol=0.0, atol=8 * p.size * EPS)
+        np.testing.assert_allclose(floored(p, rho), p, rtol=0.0, atol=8 * p.size * EPS)
 
 
 class TestIpw:
     """run_gbpa's update in its first round, where the estimate is zero and the
     Shannon probabilities are uniform: the played arm's reward over its
     probability, zero elsewhere.  The estimate is read as the score vector
-    that round 2 hands to the Shannon gradient."""
+    (a list of K floats) that round 2 hands to the Shannon gradient."""
 
     REWARDS = np.array([[0.3, 0.8, 0.5], [0.0, 0.0, 0.0]])
     POTENTIAL = adv.PotentialSpec("shannon", eta=2.0)
@@ -273,7 +280,7 @@ class TestIpw:
             seen.clear()
             _, arms = adv.run_gbpa(rewards, self.POTENTIAL, seed)
             np.testing.assert_array_equal(seen[0], 0.0)
-            return int(arms[0]), seen[1]
+            return int(arms[0]), np.array(seen[1])
 
         return play
 
@@ -389,3 +396,74 @@ class TestRunGbpa:
         rewards = adv.make_single_best_arm_rewards(5, 2)
         with pytest.raises(ValueError, match=r"checkpoints must lie in \[1, 5\]"):
             adv.regret_at_checkpoints(rewards, np.ones(5, dtype=np.int64), checkpoints)
+
+
+    def test_tiny_shannon_eta_follows_the_leader(self):
+        # (G - max G) / eta is never positive, so eta = 1e-306 gives the
+        # follow-the-leader probabilities of eta = 1e-300, not NaN.
+        rewards = adv.make_iid_rewards(2000, 4, seed=1)
+        arms = {eta: adv.run_gbpa(rewards, adv.PotentialSpec("shannon", eta=eta), 3)[1] for eta in (1e-306, 1e-300)}
+        np.testing.assert_array_equal(arms[1e-306], arms[1e-300])
+        assert np.bincount(arms[1e-306], minlength=4).max() > 1900
+
+    def test_tsallis_failure_names_eta_and_alpha(self):
+        rewards = adv.make_iid_rewards(500, 10, seed=1)
+        with pytest.raises(ValueError, match=r"tsallis\(alpha=0.5\) at eta=1e-200"):
+            adv.run_gbpa(rewards, adv.PotentialSpec("tsallis", eta=1e-200, alpha=0.5), 1)
+
+
+@hs.composite
+def gbpa_runs(draw):
+    """A reward matrix from one of the adversaries, a potential of any kind
+    with eta over four decades, and a seed."""
+    K = draw(hs.integers(2, 12))
+    T = draw(hs.integers(1, 500))
+    seed = draw(hs.integers(0, 2**32 - 1))
+    rewards = hz.ADVERSARIES[draw(hs.sampled_from(sorted(hz.ADVERSARIES)))](T, K, seed)
+    kind = draw(hs.sampled_from([adv.SHANNON, adv.TSALLIS, adv.FTPL]))
+    eta = 10.0 ** draw(hs.floats(-1.0, 3.0))
+    if kind == adv.TSALLIS:
+        alpha = draw(hs.one_of(hs.floats(0.01, 0.99), hs.floats(0.99, 0.9999)))
+        potential = adv.PotentialSpec(kind, eta=eta, alpha=alpha)
+    elif kind == adv.FTPL:
+        spec = draw(hs.sampled_from([dist.gumbel(), dist.gaussian(1.0)]))
+        potential = adv.PotentialSpec(kind, eta=eta, spec=spec, mc_samples=draw(hs.integers(1, 50)))
+    else:
+        potential = adv.PotentialSpec(kind, eta=eta)
+    return rewards, potential, seed + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(gbpa_runs())
+def test_run_gbpa_plays_the_arms_of_the_array_oracle(run):
+    # The rounds on Python floats and the oracle's on arrays compute the
+    # probabilities with other exp, log and summation orders, so p may
+    # differ in its last bits; the arms may not differ at all.
+    rewards, potential, seed = run
+    np.testing.assert_array_equal(adv.run_gbpa(rewards, potential, seed)[1], ref.run_gbpa(rewards, potential, seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    G=hs.lists(hs.floats(-1e3, 1e3), min_size=2, max_size=12),
+    eta=hs.floats(0.1, 1e3),
+    alpha=hs.floats(0.05, 0.95),
+)
+def test_score_kernels_match_the_array_oracle(G, eta, alpha):
+    # Entries differ by a few ulps of exp and of the sum, times |G| / eta
+    # where (G - max G) / eta and G / eta - max(G / eta) round apart; each
+    # Tsallis solve stops at a log-residual of 1e-13.
+    scale = max(map(abs, G)) / eta
+    np.testing.assert_allclose(
+        adv.choice_prob_shannon(G, eta), ref.shannon(np.array(G), eta), rtol=16 * EPS * (len(G) + scale), atol=1e-300
+    )
+    np.testing.assert_allclose(
+        adv._tsallis_probabilities(G, eta, alpha)[0], ref.tsallis(np.array(G), eta, alpha)[0], rtol=0.0, atol=1e-11
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(floored_inputs())
+def test_floor_matches_the_array_oracle(inputs):
+    p, rho = inputs
+    np.testing.assert_allclose(floored(p, rho), ref.floor_probabilities(p, rho), rtol=0.0, atol=8 * p.size * EPS)

@@ -42,7 +42,7 @@ class TestChoiceInverse:
         G = ct.tsallis_choice_inverse(np.array([0.5, 0.5]), 0.5)
         np.testing.assert_allclose(G, 0.0, atol=1e-12)
         # internally lambda = sqrt(2) at G = 0
-        assert G.max() + adv._solve_tsallis_nu(G - G.max(), 0.5) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert G.max() + adv._solve_tsallis_nu((G - G.max()).tolist(), 0.5) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_round_trip_on_random_interior_points(self):
         rng = np.random.default_rng(0)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -301,6 +302,39 @@ class TestErrorHandling:
         # the error is raised before the output directory is made, so before
         # the first episode
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, raw",
+        [
+            pytest.param(
+                "adversarial",
+                {"mode": "adversarial", "seed": 1, "K": 10, "T": 500, "episodes": 1, "adversary": "iid",
+                 "checkpoints": [500], "potentials": [{"kind": "tsallis", "eta": 1e-200, "alpha": 0.5}]},
+                id="tiny-tsallis-eta",
+            ),
+            pytest.param("stochastic", dict(STOCH_CONFIG, policies=[{"kind": "ftpl", "sigma": 1e308}]), id="huge-sigma"),
+        ],
+    )
+    def test_numerical_failure_fails_closed(self, tmp_path, capsys, command, raw):
+        # Valid input that the floats cannot carry fails in the first episode,
+        # with one error line and no output left behind.
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not out.exists()
+
+    def test_tiny_shannon_eta_runs(self, tmp_path, capsys):
+        # Shannon shifts G by its max before dividing by eta, so no exponent
+        # overflows (a RuntimeWarning is an error under this suite's settings).
+        raw = {"mode": "adversarial", "seed": 1, "K": 4, "T": 2000, "episodes": 1, "adversary": "iid",
+               "checkpoints": [2000], "potentials": [{"kind": "shannon", "eta": 1e-306}]}
+        out = tmp_path / "out"
+        assert cli.main(["adversarial", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 0
+        rows = parse_csv(out / "adversarial_regret.csv").rows
+        assert len(rows) == 1 and math.isfinite(rows[0].mean_avg_regret)
 
     @pytest.mark.parametrize("message", ["Unable to allocate 8.00 TiB for an array", ""])
     def test_out_of_memory_fails_closed(self, tmp_path, capsys, monkeypatch, message):
