@@ -223,14 +223,13 @@ def floored(p: np.ndarray, rho: float) -> np.ndarray:
 
 
 class TestFloorProbabilities:
-    """Properties of ``floor_probabilities`` (on a list, read back as an
-    array) for any K, normalized p and rho
-    in (0, 1/K).  Tolerances come from rounding alone: each of the K entries
-    (all at most 1) goes through about five roundings of relative size eps
-    (the normalization of p, the slack, the product and quotient, the
-    subtraction) and the sum adds one more per entry, so a sum is off by at
-    most a few K*eps and a single entry by a few eps; 8*K*eps and 8*eps leave
-    a margin over that count."""
+    """Properties of ``floor_probabilities`` (given a list, read back as an
+    array) for any K, normalized p and rho in (0, 1/K).  Tolerances come from
+    rounding alone: each of the K entries (all at most 1) goes through about
+    five roundings of relative size eps (the normalization of p, the slack,
+    the product and quotient, the subtraction) and the sum adds one more per
+    entry, so a sum is off by at most a few K*eps and a single entry by a few
+    eps; 8*K*eps and 8*eps leave a margin over that count."""
 
     @settings(max_examples=300, deadline=None)
     @given(floored_inputs())
@@ -396,7 +395,6 @@ class TestRunGbpa:
         rewards = adv.make_single_best_arm_rewards(5, 2)
         with pytest.raises(ValueError, match=r"checkpoints must lie in \[1, 5\]"):
             adv.regret_at_checkpoints(rewards, np.ones(5, dtype=np.int64), checkpoints)
-
 
     def test_tiny_shannon_eta_follows_the_leader(self):
         # (G - max G) / eta is never positive, so eta = 1e-306 gives the
