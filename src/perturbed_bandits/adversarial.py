@@ -290,18 +290,20 @@ def run_gbpa(
     rho = 1e-4 / K
     nu = None
     try:
-        for row in rewards.tolist():
-            if kind == SHANNON:
-                p = choice_prob_shannon(g_hat, eta)
-            elif kind == TSALLIS:
-                p, nu = _tsallis_probabilities(g_hat, eta, alpha, nu)
-            else:
-                p = choice_prob_ftpl_mc(g_hat, eta, potential.spec, potential.mc_samples, rho, rng)
-            cum = list(accumulate(p))
-            # u < 1 keeps u * cum[-1] < cum[-1]; the bound K - 1 holds for a NaN total.
-            arm = bisect_right(cum, rng.random() * cum[-1], 0, K - 1)
-            g_hat[arm] += row[arm] / p[arm]
-            arms.append(arm)
+        # An overflowing numpy product raises FloatingPointError, an ArithmeticError.
+        with np.errstate(over="raise"):
+            for row in rewards.tolist():
+                if kind == SHANNON:
+                    p = choice_prob_shannon(g_hat, eta)
+                elif kind == TSALLIS:
+                    p, nu = _tsallis_probabilities(g_hat, eta, alpha, nu)
+                else:
+                    p = choice_prob_ftpl_mc(g_hat, eta, potential.spec, potential.mc_samples, rho, rng)
+                cum = list(accumulate(p))
+                # u < 1 keeps u * cum[-1] < cum[-1]; the bound K - 1 holds for a NaN total.
+                arm = bisect_right(cum, rng.random() * cum[-1], 0, K - 1)
+                g_hat[arm] += row[arm] / p[arm]
+                arms.append(arm)
     except ArithmeticError as exc:
         raise ValueError(f"{potential.label()} at eta={eta:g} failed: {exc}") from None
     # A NaN or infinity stays in the estimate once it enters it.

@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, required=needs_config, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides the config)")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="has no effect; episodes run in order on one thread")
+        p.add_argument("--threads", type=int, default=1, help="play episodes in up to min(N, CPUs, episodes) processes")
     return parser
 
 
@@ -46,7 +46,7 @@ def _resolve_config(args: argparse.Namespace) -> harness.ExperimentConfig:
 
 
 def _run_simulation(args: argparse.Namespace, config: harness.ExperimentConfig) -> int:
-    result = harness.run_experiment(config)
+    result = harness.run_experiment(config, args.threads)
     csv_path = args.out / f"{config.mode}_regret.csv"
     harness.emit_csv(result, csv_path)
     harness.emit_svg_lineplot(result, args.out / f"{config.mode}_regret.svg")
@@ -55,7 +55,7 @@ def _run_simulation(args: argparse.Namespace, config: harness.ExperimentConfig) 
 
 
 def _run_grid_search(args: argparse.Namespace, config: harness.ExperimentConfig) -> int:
-    search = harness.grid_search(config)
+    search = harness.grid_search(config, args.threads)
     harness.emit_csv(search.all_results, args.out / "grid_results.csv")
     best_path = args.out / "grid_best.json"
     with open(best_path, "w") as fh:

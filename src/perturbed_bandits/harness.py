@@ -1,11 +1,12 @@
-"""Experiment harness: JSON config in, seeded episodes run in order,
-aggregated average-regret tables out as CSV and SVG.
+"""Experiment harness: JSON config in, seeded episodes run in one or more
+processes, aggregated average-regret tables out as CSV and SVG.
 
 Determinism contract: every random stream is derived from
-SeedSequence([master_seed, episode_index]), never from execution order, so
-results are identical across reruns.  Each episode draws its instance and its
-reward table once, and every compared policy or potential plays that one
-table (the seeding rule is stated in ``_episode``).
+SeedSequence([master_seed, episode_index]), never from execution order or
+process, so results are identical across reruns and thread counts.  Each
+episode draws its instance and its reward table once, and every compared
+policy or potential plays that one table (the seeding rule is stated in
+``_episode``).
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import html
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -358,18 +360,36 @@ def _episode(config: ExperimentConfig, grid, checkpoints, episode: int) -> np.nd
     return out
 
 
+def _episodes(config: ExperimentConfig, grid, checkpoints, episodes: range) -> list[np.ndarray]:
+    return [_episode(config, grid, checkpoints, e) for e in episodes]
+
+
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> AggregateResult:
     """Run all grid points over all episodes and aggregate average regret.
 
-    Episodes run in order on the calling thread.  ``threads`` is accepted for
-    compatibility and has no effect: episode threads only contended for the
-    interpreter lock and measured slower than one thread.
+    The episodes are dealt round-robin to min(threads, CPUs, episodes)
+    processes: the calling one plays the first share and forked workers the
+    others.  An episode's streams depend only on (seed, episode), so the
+    result does not depend on ``threads``.
     """
     if config.mode not in ("stochastic", "adversarial"):
         raise ValueError(f"run_experiment does not handle mode {config.mode!r}")
     checkpoints = config.effective_checkpoints()
     grid = config.grid()
-    per_episode = [_episode(config, grid, checkpoints, e) for e in range(config.episodes)]
+    workers = min(threads, os.cpu_count() or 1, config.episodes) if hasattr(os, "fork") else 1
+    shares = [range(w, config.episodes, workers) for w in range(workers)]
+    if workers == 1:
+        played = [_episodes(config, grid, checkpoints, shares[0])]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Named, as Python 3.14 changes the default: a forked worker starts with
+        # the package imported, where a spawned one would import numpy again.
+        with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_episodes, config, grid, checkpoints, share) for share in shares[1:]]
+            played = [_episodes(config, grid, checkpoints, shares[0]), *(f.result() for f in futures)]
+    per_episode = [played[e % workers][e // workers] for e in range(config.episodes)]
     avg = np.stack(per_episode, axis=2) / np.asarray(checkpoints, dtype=float)[:, None]
     labels = [(cfg.label(), param) for cfg, param in grid]
     return _aggregate(labels, avg, checkpoints, config.episodes, config.seed)
@@ -395,11 +415,12 @@ class GridSearchResult:
     all_results: AggregateResult
 
 
-def grid_search(config: ExperimentConfig) -> GridSearchResult:
-    """Exhaustive evaluation; argmin of final mean R(T)/T per policy, ties
-    resolved to the grid point listed first (grids should be ascending).
-    Other parameters within one combined stderr of the winner are reported."""
-    result = run_experiment(config)
+def grid_search(config: ExperimentConfig, threads: int = 1) -> GridSearchResult:
+    """Exhaustive evaluation on ``threads`` as in ``run_experiment``; argmin
+    of final mean R(T)/T per policy, ties resolved to the grid point listed
+    first (grids should be ascending).  Other parameters within one combined
+    stderr of the winner are reported."""
+    result = run_experiment(config, threads)
     finals: dict[str, list[ResultRow]] = {}
     for row in result.final_rows():
         finals.setdefault(row.policy, []).append(row)

@@ -92,8 +92,9 @@ class RegretTrace:
         return self.regret(self.arms.size)
 
 
-def _argmax_random_ties(values: np.ndarray, rng: np.random.Generator) -> int:
-    """Argmax with uniform tie breaking.
+def _argmax_random_ties(values: np.ndarray, rng: np.random.Generator, reverse: np.ndarray | None = None) -> int:
+    """Argmax with uniform tie breaking; ``reverse`` is ``values[::-1]``,
+    which a caller that reuses one buffer makes once.
 
     Ties are measure zero for continuous perturbations, so the generator is
     only consumed when an exact tie occurs (e.g. Rademacher), which keeps
@@ -102,7 +103,7 @@ def _argmax_random_ties(values: np.ndarray, rng: np.random.Generator) -> int:
     best = int(values.argmax())
     # argmax returns the first maximum, so there is a tie exactly when the
     # last maximum lies elsewhere.
-    if values[::-1].argmax() != values.size - 1 - best:
+    if (values[::-1] if reverse is None else reverse).argmax() != values.size - 1 - best:
         ties = np.flatnonzero(values == values[best])
         best = int(ties[rng.integers(ties.size)])
     return best
@@ -112,24 +113,27 @@ def _scale(kind: str, pulls, horizon: int, epsilon: float):
     """The scale of the perturbed index at ``pulls`` >= 1 pulls, for one arm
     or an array of arms: sqrt(w / T_i) for UCB1 and RCB, whose squared width w
     is 2 log T for UCB1 and (2 + eps) log T for RCB, and sqrt(T_i), which
-    divides Z, for FTPL and Thompson sampling."""
+    divides Z, for FTPL and Thompson sampling.  A float ``pulls`` gets
+    ``math.sqrt``, which rounds correctly, as ``np.sqrt`` does."""
+    sqrt = math.sqrt if isinstance(pulls, float) else np.sqrt
     if kind in (UCB1, FTPL_BOUNDED):
         w = ((2.0 + epsilon) if kind == FTPL_BOUNDED else 2.0) * math.log(horizon)
-        return np.sqrt(w / pulls)
-    return np.sqrt(pulls)
+        return sqrt(w / pulls)
+    return sqrt(pulls)
 
 
-def _index(kind: str, means: np.ndarray, scale: np.ndarray, z: np.ndarray | float | None) -> np.ndarray:
-    """The perturbed index mean_i + scale_i * Z_i of every policy.
+def _index(kind: str, means: np.ndarray, scale: np.ndarray, z: np.ndarray | float | None, out=None) -> np.ndarray:
+    """The perturbed index mean_i + scale_i * Z_i of every policy, written
+    into ``out`` when it is given (addition commutes bit for bit).
 
     UCB1 is the Z = 1 case; RCB multiplies its bounded Z by the widened scale;
     FTPL and Thompson sampling divide Z by sqrt(1 v T_i).
     """
     if kind == UCB1:
-        return means + scale
+        return np.add(means, scale, out)
     if kind == FTPL_BOUNDED:
-        return means + scale * z
-    return means + z / scale
+        return np.add(np.multiply(scale, z, out), means, out)
+    return np.add(np.divide(z, scale, out), means, out)
 
 
 def select_ftpl_bounded(
@@ -203,9 +207,11 @@ def play(rewards: np.ndarray, policy: PolicyConfig, policy_rng: np.random.Genera
     that play the same table see identical reward realizations.
     """
     T, K = rewards.shape
-    counts = np.zeros(K, dtype=np.int64)
+    counts = [0] * K
     means = np.zeros(K)
-    arms = np.empty(T, dtype=np.int64)
+    arms = []
+    theta = np.empty(K)
+    reverse = theta[::-1]
 
     kind, epsilon = policy.kind, policy.epsilon
     if kind == UCB1:
@@ -218,15 +224,15 @@ def play(rewards: np.ndarray, policy: PolicyConfig, policy_rng: np.random.Genera
 
     # Only the played arm's mean and scale change in a round, so both are
     # updated in place.
-    for t, z in zip(range(T), rows):
-        theta = _index(kind, means, scale, z)
-        arm = int(theta.argmax()) if kind == UCB1 else _argmax_random_ties(theta, policy_rng)
-        n = int(counts[arm])
-        means[arm] = (float(means[arm]) * n + rewards[n, arm]) / (n + 1)
+    for z in itertools.islice(rows, T):
+        _index(kind, means, scale, z, theta)
+        arm = int(theta.argmax()) if kind == UCB1 else _argmax_random_ties(theta, policy_rng, reverse)
+        n = counts[arm]
+        means[arm] = (means.item(arm) * n + rewards.item(n, arm)) / (n + 1)
         counts[arm] = n + 1
         scale[arm] = _scale(kind, n + 1.0, T, epsilon)
-        arms[t] = arm
-    return arms
+        arms.append(arm)
+    return np.array(arms, dtype=np.int64)
 
 
 def run_episode(

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -137,6 +138,58 @@ class TestStochasticCommand:
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:") and "mode" in err[0], err
+        assert not out.exists()
+
+
+class TestEpisodeProcesses:
+    # --threads N deals the episodes to up to min(N, CPUs, episodes)
+    # processes.  The CPU count is raised to 4 so that every N here gets
+    # its own number of processes; 3 episodes split unevenly over 2 of them.
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        yield
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "command, raw",
+        [pytest.param("stochastic", STOCH_CONFIG, id="stochastic"),
+         pytest.param("adversarial", dict(ADV_CONFIG, episodes=3, adversary="iid"), id="adversarial")],
+    )
+    def test_bytes_do_not_depend_on_threads(self, tmp_path, command, raw):
+        config = write_config(tmp_path, raw)
+        outputs = []
+        for threads in ("1", "2", "3", "4"):
+            out = tmp_path / threads
+            assert cli.main([command, "--config", str(config), "--out", str(out), "--threads", threads]) == 0
+            assert multiprocessing.active_children() == []
+            outputs.append((out / f"{command}_regret.csv").read_bytes())
+        assert outputs[1:] == outputs[:1] * 3
+
+    def test_bad_policy_fails_closed(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(STOCH_CONFIG, policies=[{"kind": "ftpl", "sigma": 1e308}]))
+        out = tmp_path / "out"
+        assert cli.main(["stochastic", "--config", str(path), "--out", str(out), "--threads", "2"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc", [ValueError("episode 1 failed"), MemoryError()])
+    def test_worker_error_reaches_the_caller(self, tmp_path, capsys, monkeypatch, exc):
+        # Episode 1 is the second process's first; the fork inherits the patch.
+        episode = hz._episode
+
+        def failing(config, grid, checkpoints, e):
+            if e == 1:
+                raise exc
+            return episode(config, grid, checkpoints, e)
+
+        monkeypatch.setattr(hz, "_episode", failing)
+        path = write_config(tmp_path, STOCH_CONFIG)
+        out = tmp_path / "out"
+        assert cli.main(["stochastic", "--config", str(path), "--out", str(out), "--threads", "2"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {str(exc) or type(exc).__name__}"]
         assert not out.exists()
 
 
@@ -313,6 +366,13 @@ class TestErrorHandling:
                 id="tiny-tsallis-eta",
             ),
             pytest.param("stochastic", dict(STOCH_CONFIG, policies=[{"kind": "ftpl", "sigma": 1e308}]), id="huge-sigma"),
+            pytest.param(
+                "adversarial",
+                {"mode": "adversarial", "seed": 1, "K": 4, "T": 200, "episodes": 1, "adversary": "iid",
+                 "checkpoints": [200], "potentials": [{"kind": "ftpl", "perturbation": "gumbel", "eta": 1e308,
+                                                       "mc_samples": 10}]},
+                id="huge-ftpl-eta",
+            ),
         ],
     )
     def test_numerical_failure_fails_closed(self, tmp_path, capsys, command, raw):
@@ -368,3 +428,15 @@ def test_import_loads_only_what_commands_use():
     probe = "import sys, perturbed_bandits.cli; print(sorted({'scipy', 'urllib.request'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_one_process_imports_no_pool(tmp_path):
+    # --threads 1 plays every episode in the calling process, without the
+    # process pool's modules.
+    src = str(Path(perturbed_bandits.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["stochastic", "--config", str(write_config(tmp_path, STOCH_CONFIG)), "--out", str(tmp_path / "out")]
+    probe = (f"import sys, perturbed_bandits.cli as cli; assert cli.main({argv!r}) == 0; "
+             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -285,10 +285,12 @@ class TestGridSearch:
         rows = tuple(
             hz.ResultRow("ftpl-gaussian", param, 500, 0.1, 0.0, 4, 5) for param in ("sigma=2", "sigma=1")
         )
-        monkeypatch.setattr(hz, "run_experiment", lambda config: hz.AggregateResult(rows))
-        search = hz.grid_search(small_stochastic_config())
+        threads = []
+        monkeypatch.setattr(hz, "run_experiment", lambda config, n: threads.append(n) or hz.AggregateResult(rows))
+        search = hz.grid_search(small_stochastic_config(), 3)
         assert search.best[0].best_param == "sigma=2"
         assert search.best[0].tied_within_stderr == ("sigma=1",)
+        assert threads == [3]  # grid_search passes its thread count on
 
 
 class TestEmission:

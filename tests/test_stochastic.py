@@ -9,6 +9,8 @@ from scipy.special import ndtr
 from perturbed_bandits import distributions as dist
 from perturbed_bandits import stochastic as st
 
+import play_reference
+
 
 def two_arm_state(means_hat, counts):
     return st.LearnerState(
@@ -407,4 +409,31 @@ class TestPlayOracle:
         np.testing.assert_array_equal(
             st.play(rewards, policy, np.random.default_rng([seed, 1])),
             reference_play(rewards, policy, np.random.default_rng([seed, 1])),
+        )
+
+
+# Every policy kind, Rademacher RCB, whose perturbations tie, included.
+ALL_POLICIES = [*TIE_FREE_POLICIES, st.PolicyConfig("rcb", spec=dist.rademacher(), epsilon=0.25)]
+
+
+class TestPlayEqualsPrevious:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        policy=hs.sampled_from(ALL_POLICIES),
+        K=hs.integers(2, 300),
+        levels=hs.integers(1, 4),
+        horizon=hs.integers(1, 2500),
+        model=hs.sampled_from(dist.REWARD_MODELS),
+        seed=hs.integers(0, 2**32 - 1),
+    )
+    def test_play_matches_previous_play(self, policy, K, levels, horizon, model, seed):
+        # The arms of play and of the previous play, ties and their random
+        # breaks included, on one table and one policy seed.  Means on a few
+        # levels make equal indices common; horizons past 2,048 read a third
+        # block of perturbation rows.
+        means = np.random.default_rng([seed, 2]).integers(0, levels, K) / levels
+        rewards = dist.RewardModel(model).sample_table(means, horizon, np.random.default_rng([seed, 0]))
+        np.testing.assert_array_equal(
+            st.play(rewards, policy, np.random.default_rng([seed, 1])),
+            play_reference.play(rewards, policy, np.random.default_rng([seed, 1])),
         )
