@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, required=needs_config, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides the config)")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="play episodes in up to min(N, CPUs, episodes) processes")
+        p.add_argument("--threads", type=int, default=1, help="play episodes in up to min(THREADS, CPUs, episodes) processes")
     return parser
 
 
