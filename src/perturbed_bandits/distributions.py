@@ -286,6 +286,13 @@ REWARD_NOISE = {
 REWARD_MODELS = tuple(REWARD_NOISE)
 
 
+# A RewardTable's first chunk of rows; each chunk after it doubles the rows drawn.
+_FIRST_ROWS = 256
+# Bit generators whose ``advance(n)`` moves on by exactly n 64-bit draws.
+# Philox has an ``advance`` too, but it counts blocks of four draws.
+_ADVANCEABLE = (np.random.PCG64, np.random.PCG64DXSM)
+
+
 @dataclass(frozen=True)
 class RewardModel:
     """1-sub-Gaussian reward noise shifted by the arm mean.
@@ -301,10 +308,74 @@ class RewardModel:
         if self.kind not in REWARD_MODELS:
             raise ValueError(f"unknown reward model: {self.kind!r}")
 
-    def sample_table(self, means: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-        """An (n, K) table: entry [k, i] is the reward for the k-th pull of arm i."""
-        means = np.asarray(means, dtype=float)
-        table = np.broadcast_to(means, (n, means.size)).copy()
-        for spec in REWARD_NOISE[self.kind]:
-            table += sample_array(spec, rng, table.shape)
-        return table
+    def reward_table(self, means, n: int, rng: np.random.Generator) -> RewardTable:
+        """The (n, K) reward table at ``means``, drawn from ``rng`` as pulls reach its rows."""
+        return RewardTable(self, means, n, rng)
+
+    def sample_table(self, means, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Every row of ``reward_table(means, n, rng)``: an (n, K) array whose
+        entry [k, i] is the reward for the k-th pull of arm i.  It leaves
+        ``rng`` in the state that drawing the whole table at once leaves it in."""
+        return self.reward_table(means, n, rng).through(n - 1)
+
+
+def _moved_on(state: dict, draws: int) -> np.random.Generator:
+    """A generator at ``state`` moved on by ``draws`` 64-bit draws.
+    ``advance`` empties the bit generator's buffered 32-bit half-draw, so it is put back."""
+    bits = getattr(np.random, state["bit_generator"])()
+    bits.state = state
+    bits.advance(draws)
+    bits.state = {**bits.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+    return np.random.Generator(bits)
+
+
+class RewardTable:
+    """The (T, K) reward table of ``model`` at ``means``, whose entry [n, i] is
+    the reward of arm i's n-th pull, drawn from ``rng`` in chunks of rows as
+    pulls reach them: ``rows`` is the prefix drawn so far.
+
+    Every row drawn holds the bits that the whole table, drawn at once, holds
+    in that row.  numpy generators fill arrays from sequential draws, so rows
+    [a, b) of a noise term are draws a*K to b*K of that term's stream.  Each
+    term but the last costs one 64-bit draw per entry (uniform or Rademacher),
+    so term j's stream starts j*T*K draws in: it draws from its own copy of
+    ``rng`` moved on by ``advance``.  A bit generator without a draw-counting
+    ``advance`` (MT19937, SFC64, Philox) draws every row of a model with two
+    or more terms at construction.  Once every row is drawn, ``rng`` is where
+    drawing the whole table at once leaves it.
+    """
+
+    def __init__(self, model: RewardModel, means, horizon: int, rng: np.random.Generator) -> None:
+        self.means = np.asarray(means, dtype=float)
+        self.horizon = horizon
+        self._terms = REWARD_NOISE[model.kind]
+        self._rng = rng
+        self._rngs = [rng] * len(self._terms)
+        self._buffer = np.empty((horizon, self.means.size))
+        self.rows = self._buffer[:0]
+        if len(self._terms) > 1:
+            if isinstance(rng.bit_generator, _ADVANCEABLE):
+                start, entries = rng.bit_generator.state, self._buffer.size
+                self._rngs[1:] = [_moved_on(start, j * entries) for j in range(1, len(self._terms))]
+            else:
+                self._draw(horizon)
+
+    def through(self, n: int) -> np.ndarray:
+        """``rows``, drawn on to include row ``n``: the first chunk is 256
+        rows, and each chunk after it doubles the rows drawn, up to T."""
+        size = max(len(self.rows), _FIRST_ROWS)
+        while size <= n:
+            size *= 2
+        self._draw(min(size, self.horizon))
+        return self.rows
+
+    def _draw(self, stop: int) -> None:
+        """Draw rows up to ``stop``: the means plus each noise term, in the
+        order that drawing the whole table adds them."""
+        chunk = self._buffer[len(self.rows) : stop]
+        chunk[...] = self.means
+        for spec, rng in zip(self._terms, self._rngs):
+            chunk += sample_array(spec, rng, chunk.shape)
+        self.rows = self._buffer[:stop]
+        if stop == self.horizon and self._terms:
+            self._rng.bit_generator.state = self._rngs[-1].bit_generator.state

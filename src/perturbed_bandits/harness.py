@@ -317,14 +317,15 @@ def _aggregate(
 
 
 class _DrawnTable(NamedTuple):
-    """An episode's reward model once its table is drawn: every policy's
-    ``run_episode`` call plays this one table and ignores its reward_rng.
-    Each policy's episode thus stays one ``run_episode`` call, the unit that
+    """An episode's reward table, as the reward model of every policy's
+    ``run_episode`` call, which ignores its reward_rng: the policies share one
+    ``RewardTable``, which draws the most rows any of them reaches.  Each
+    policy's episode thus stays one ``run_episode`` call, the unit that
     ``benchmarks/tracing.py`` times per policy."""
 
-    table: np.ndarray
+    table: dist.RewardTable
 
-    def sample_table(self, means, n, rng) -> np.ndarray:
+    def reward_table(self, means, n, rng) -> dist.RewardTable:
         return self.table
 
 
@@ -345,10 +346,8 @@ def _episode(config: ExperimentConfig, grid, checkpoints, episode: int) -> np.nd
             out[i] = regret_at_checkpoints(rewards, arms, checkpoints)
         return out
     means = np.random.default_rng(children[0]).random(config.K)
-    rewards = RewardModel(config.reward_model).sample_table(means, config.T, np.random.default_rng(children[1]))
-    instance = BanditInstance(
-        means=means, reward_model=_DrawnTable(rewards), horizon=config.T
-    )
+    table = dist.RewardTable(RewardModel(config.reward_model), means, config.T, np.random.default_rng(children[1]))
+    instance = BanditInstance(means=means, reward_model=_DrawnTable(table), horizon=config.T)
     for i, (policy, _) in enumerate(grid):
         trace = run_episode(
             instance,
@@ -369,8 +368,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> AggregateResul
 
     The episodes are dealt round-robin to min(threads, CPUs, episodes)
     processes: the calling one plays the first share and forked workers the
-    others.  An episode's streams depend only on (seed, episode), so the
-    result does not depend on ``threads``.
+    others, which are stopped if the calling one's share fails.  An episode's
+    streams depend only on (seed, episode), so the result does not depend on
+    ``threads``.
     """
     if config.mode not in ("stochastic", "adversarial"):
         raise ValueError(f"run_experiment does not handle mode {config.mode!r}")
@@ -386,9 +386,17 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> AggregateResul
 
         # Named, as Python 3.14 changes the default: a forked worker starts with
         # the package imported, where a spawned one would import numpy again.
+        before = set(multiprocessing.active_children())
         with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
             futures = [pool.submit(_episodes, config, grid, checkpoints, share) for share in shares[1:]]
-            played = [_episodes(config, grid, checkpoints, shares[0]), *(f.result() for f in futures)]
+            try:
+                mine = _episodes(config, grid, checkpoints, shares[0])
+            except BaseException:
+                # Leaving the block would wait for the workers' shares.
+                for worker in set(multiprocessing.active_children()) - before:
+                    worker.terminate()
+                raise
+            played = [mine, *(f.result() for f in futures)]
     per_episode = [played[e % workers][e // workers] for e in range(config.episodes)]
     avg = np.stack(per_episode, axis=2) / np.asarray(checkpoints, dtype=float)[:, None]
     labels = [(cfg.label(), param) for cfg, param in grid]

@@ -201,12 +201,15 @@ def _perturbation_rows(spec: PerturbationSpec, rng: np.random.Generator, num_arm
         yield from block
 
 
-def play(rewards: np.ndarray, policy: PolicyConfig, policy_rng: np.random.Generator) -> np.ndarray:
-    """Play one episode against a pre-drawn (T, K) reward table and return the
-    arms played.  Entry [n, i] is the reward of arm i's n-th pull, so policies
-    that play the same table see identical reward realizations.
+def play(table: dist.RewardTable, policy: PolicyConfig, policy_rng: np.random.Generator) -> np.ndarray:
+    """Play one episode of ``table.horizon`` rounds against a reward table and
+    return the arms played.  Entry [n, i] is the reward of arm i's n-th pull,
+    so policies that play the same table see identical reward realizations;
+    the table draws its rows as pulls reach them and keeps them for the next
+    policy.
     """
-    T, K = rewards.shape
+    T, K = table.horizon, table.means.size
+    drawn = table.rows
     counts = [0] * K
     means = np.zeros(K)
     arms = []
@@ -228,7 +231,12 @@ def play(rewards: np.ndarray, policy: PolicyConfig, policy_rng: np.random.Genera
         _index(kind, means, scale, z, theta)
         arm = int(theta.argmax()) if kind == UCB1 else _argmax_random_ties(theta, policy_rng, reverse)
         n = counts[arm]
-        means[arm] = (means.item(arm) * n + rewards.item(n, arm)) / (n + 1)
+        try:
+            reward = drawn.item(n, arm)
+        except IndexError:  # row n is not drawn yet
+            drawn = table.through(n)
+            reward = drawn.item(n, arm)
+        means[arm] = (means.item(arm) * n + reward) / (n + 1)
         counts[arm] = n + 1
         scale[arm] = _scale(kind, n + 1.0, T, epsilon)
         arms.append(arm)
@@ -242,7 +250,7 @@ def run_episode(
     reward_rng: np.random.Generator,
     policy_rng: np.random.Generator,
 ) -> RegretTrace:
-    """Draw one episode's reward table from ``reward_rng``, ``play`` it, and
+    """``play`` the instance's reward table, drawn from ``reward_rng``, and
     return the arms played."""
-    rewards = instance.reward_model.sample_table(instance.means, instance.horizon, reward_rng)
-    return RegretTrace(gaps=instance.gaps(), arms=play(rewards, policy, policy_rng))
+    table = instance.reward_model.reward_table(instance.means, instance.horizon, reward_rng)
+    return RegretTrace(gaps=instance.gaps(), arms=play(table, policy, policy_rng))

@@ -108,6 +108,16 @@ class TestTsallis:
         atol = 1e-12 + 64 * np.finfo(float).eps * scale
         np.testing.assert_allclose(adv.choice_prob_tsallis(G + shift, 1.0, alpha), p, rtol=0.0, atol=atol)
 
+    def test_solver_cost_is_pinned(self, monkeypatch):
+        # The log-sum evaluations of one fixed run (2.91 per round).  A
+        # solver that reaches the same root more slowly, a halved Newton step
+        # say, passes every other test but not this count.
+        calls = []
+        log_sum = adv._tsallis_log_sum
+        monkeypatch.setattr(adv, "_tsallis_log_sum", lambda *args: calls.append(1) or log_sum(*args))
+        adv.run_gbpa(adv.make_single_best_arm_rewards(2000, 10), adv.PotentialSpec("tsallis", eta=50.0, alpha=0.5), 7)
+        assert len(calls) == 5822
+
     def test_alpha_near_one_approaches_softmax(self):
         p = adv.choice_prob_tsallis(np.array([1.0, 0.0]), 1.0, 0.999)
         q = adv.choice_prob_shannon(np.array([1.0, 0.0]), 1.0)

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,29 @@ class TestEpisodeProcesses:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {str(exc) or type(exc).__name__}"]
         assert not out.exists()
+
+    def test_caller_error_stops_the_workers(self, tmp_path, capsys, monkeypatch):
+        # Episode 0 is the calling process's; episode 1's worker would sleep
+        # for 5 s, but the error is reported without waiting for it.
+        episode = hz._episode
+
+        def failing(config, grid, checkpoints, e):
+            if e == 0:
+                raise ValueError("episode 0 failed")
+            if e == 1:
+                time.sleep(5.0)
+            return episode(config, grid, checkpoints, e)
+
+        monkeypatch.setattr(hz, "_episode", failing)
+        path = write_config(tmp_path, STOCH_CONFIG)
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        code = cli.main(["stochastic", "--config", str(path), "--out", str(out), "--threads", "2"])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["error: episode 0 failed"]
+        assert elapsed < 2.0
+        assert multiprocessing.active_children() == []
 
 
 class TestAdversarialCommand:

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy import stats
 
 from perturbed_bandits import distributions as dist
@@ -382,3 +384,60 @@ class TestRewardTable:
         finally:
             tracemalloc.stop()
         assert peak <= 2.25 * means.size * n * 8
+
+
+class TestOnDemandRows:
+    @pytest.mark.parametrize(
+        "bits",
+        # PCG64 (default_rng's) and PCG64DXSM reach a later term's stream by
+        # advance; the others draw a two-term model's every row at once.
+        [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937, np.random.SFC64],
+        ids=lambda bits: bits.__name__,
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=hs.sampled_from(dist.REWARD_MODELS),
+        K=hs.integers(1, 64),
+        T=hs.integers(1, 3000),
+        requests=hs.lists(hs.integers(0, 2999), max_size=6),
+        half_draw=hs.booleans(),
+        seed=hs.integers(0, 2**32 - 1),
+    )
+    def test_drawn_rows_are_the_whole_tables(self, bits, kind, K, T, requests, half_draw, seed):
+        # Row requests in any order, ending with a jump to row T - 1: the
+        # rows drawn are the reference table's first rows, byte for byte,
+        # and the generator ends where the reference draw leaves it.
+        def generator():
+            rng = np.random.Generator(bits(seed))
+            if half_draw:
+                rng.integers(0, 10)  # leaves half of a 64-bit draw buffered
+            return rng
+
+        means = np.random.default_rng(K).random(K)
+        rng, ref_rng = generator(), generator()
+        expected = _reference_table(kind, means, T, ref_rng)
+        table = dist.RewardModel(kind).reward_table(means, T, rng)
+        drawn = len(table.rows)
+        assert drawn in (0, T)
+        for n in [r % T for r in requests] + [T - 1]:
+            size = 256
+            while size <= n:
+                size *= 2
+            drawn = max(drawn, min(size, T))
+            rows = table.through(n)
+            assert len(rows) == drawn
+            assert rows.tobytes() == expected[:drawn].tobytes()
+        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)  # Philox's holds arrays
+
+    def test_every_term_but_the_last_costs_one_draw_per_entry(self):
+        # RewardTable starts term j of a model j*T*K draws into its stream,
+        # which holds only if every earlier term costs one 64-bit draw per
+        # entry.  A model that breaks this fails here rather than silently
+        # drawing new bits.
+        for kind, terms in dist.REWARD_NOISE.items():
+            for spec in terms[:-1]:
+                assert spec.kind in (dist.UNIFORM, dist.RADEMACHER), kind
+                rng, moved = np.random.default_rng(3), np.random.default_rng(3)
+                dist.sample_array(spec, rng, (7, 5))
+                moved.bit_generator.advance(35)
+                assert rng.bit_generator.state == moved.bit_generator.state, kind

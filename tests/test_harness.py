@@ -180,16 +180,30 @@ class TestRunExperiment:
             assert all(row.stderr == 0.0 for row in rows)
 
     def test_reward_table_drawn_once_per_episode(self, monkeypatch):
-        calls = []
-        sample_table = dist.RewardModel.sample_table
+        # One RewardTable per episode, which every policy of the episode
+        # plays, drawn only as far as their pulls reach.
+        tables, played = [], []
+        init, play = dist.RewardTable.__init__, st.play
 
-        def spy(self, means, n, rng):
-            calls.append(n)
-            return sample_table(self, means, n, rng)
+        def spy_init(self, model, means, n, rng):
+            tables.append(self)
+            init(self, model, means, n, rng)
 
-        monkeypatch.setattr(dist.RewardModel, "sample_table", spy)
+        def spy_play(table, policy, rng):
+            played.append(table)
+            return play(table, policy, rng)
+
+        monkeypatch.setattr(dist.RewardTable, "__init__", spy_init)
+        monkeypatch.setattr(st, "play", spy_play)
         hz.run_experiment(small_stochastic_config(episodes=3, policies=self.GRID))
-        assert calls == [500] * 3
+        assert [table.horizon for table in tables] == [500] * 3
+        assert len(played) == 3 * len(self.GRID)
+        assert all(table is tables[i // len(self.GRID)] for i, table in enumerate(played))
+        tables.clear()
+        wide = small_stochastic_config(K=300, T=2000, episodes=1, reward_model=dist.GAUSSIAN_MIXTURE_SHIFT,
+                                       checkpoints=[2000], policies=self.GRID)
+        hz.run_experiment(wide)
+        assert len(tables) == 1 and len(tables[0].rows) < 2000
 
     def test_deterministic_across_thread_counts(self):
         cfg = small_stochastic_config()

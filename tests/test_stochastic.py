@@ -187,11 +187,11 @@ class TestRandomizedSelection:
 
     def test_gaussian_ftpl_equals_thompson_under_coupled_seeds(self):
         # play's own Thompson and Gaussian-FTPL paths, over many seeds.
-        rewards = dist.RewardModel().sample_table([0.3, 0.1], 20, np.random.default_rng(0))
+        table = dist.RewardModel().reward_table([0.3, 0.1], 20, np.random.default_rng(0))
         for s in range(200):
             np.testing.assert_array_equal(
-                st.play(rewards, self.THOMPSON, np.random.default_rng(s)),
-                st.play(rewards, self.GAUSSIAN_FTPL, np.random.default_rng(s)),
+                st.play(table, self.THOMPSON, np.random.default_rng(s)),
+                st.play(table, self.GAUSSIAN_FTPL, np.random.default_rng(s)),
             )
 
     def test_shift_invariance(self):
@@ -405,9 +405,10 @@ class TestPlayOracle:
         # play and the paper-formula reference, on one table and one policy
         # seed, pick the same arm in every round.
         assume(policy.kind != "rcb" or horizon > 1)
+        table = dist.RewardModel(model).reward_table(means, horizon, np.random.default_rng([seed, 0]))
         rewards = dist.RewardModel(model).sample_table(means, horizon, np.random.default_rng([seed, 0]))
         np.testing.assert_array_equal(
-            st.play(rewards, policy, np.random.default_rng([seed, 1])),
+            st.play(table, policy, np.random.default_rng([seed, 1])),
             reference_play(rewards, policy, np.random.default_rng([seed, 1])),
         )
 
@@ -428,12 +429,15 @@ class TestPlayEqualsPrevious:
     )
     def test_play_matches_previous_play(self, policy, K, levels, horizon, model, seed):
         # The arms of play and of the previous play, ties and their random
-        # breaks included, on one table and one policy seed.  Means on a few
-        # levels make equal indices common; horizons past 2,048 read a third
-        # block of perturbation rows.
+        # breaks included, on one table and one policy seed: play on rows
+        # drawn as its pulls reach them, the previous play on the whole
+        # table.  Means on a few levels make equal indices common; horizons
+        # past 2,048 read a third block of perturbation rows.
         means = np.random.default_rng([seed, 2]).integers(0, levels, K) / levels
+        table = dist.RewardModel(model).reward_table(means, horizon, np.random.default_rng([seed, 0]))
         rewards = dist.RewardModel(model).sample_table(means, horizon, np.random.default_rng([seed, 0]))
-        np.testing.assert_array_equal(
-            st.play(rewards, policy, np.random.default_rng([seed, 1])),
-            play_reference.play(rewards, policy, np.random.default_rng([seed, 1])),
-        )
+        arms = st.play(table, policy, np.random.default_rng([seed, 1]))
+        np.testing.assert_array_equal(arms, play_reference.play(rewards, policy, np.random.default_rng([seed, 1])))
+        # The rows drawn cover every pull and hold the whole table's bits.
+        assert np.bincount(arms).max() <= len(table.rows)
+        assert table.rows.tobytes() == rewards[: len(table.rows)].tobytes()
