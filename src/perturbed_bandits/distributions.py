@@ -289,8 +289,9 @@ REWARD_MODELS = tuple(REWARD_NOISE)
 # A RewardTable's first chunk of rows; each chunk after it doubles the rows drawn.
 _FIRST_ROWS = 256
 # Bit generators whose ``advance(n)`` moves on by exactly n 64-bit draws.
-# Philox has an ``advance`` too, but it counts blocks of four draws.
-_ADVANCEABLE = (np.random.PCG64, np.random.PCG64DXSM)
+# Philox has an ``advance`` too, but it counts blocks of four draws.  Named,
+# not imported, so that importing this module does not load numpy.random.
+_ADVANCEABLE = ("PCG64", "PCG64DXSM")
 
 
 @dataclass(frozen=True)
@@ -354,8 +355,8 @@ class RewardTable:
         self._buffer = np.empty((horizon, self.means.size))
         self.rows = self._buffer[:0]
         if len(self._terms) > 1:
-            if isinstance(rng.bit_generator, _ADVANCEABLE):
-                start, entries = rng.bit_generator.state, self._buffer.size
+            start, entries = rng.bit_generator.state, self._buffer.size
+            if start["bit_generator"] in _ADVANCEABLE:
                 self._rngs[1:] = [_moved_on(start, j * entries) for j in range(1, len(self._terms))]
             else:
                 self._draw(horizon)
